@@ -229,6 +229,14 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
+    // Invalid values exit 2 with the reason rather than being clamped.
+    if args.shards == Some(0) {
+        return invalid("--shards must be at least 1");
+    }
+    if args.switchless_workers == 0 {
+        return invalid("--switchless-workers must be at least 1");
+    }
+
     let Some(name) = args.scenario.as_deref() else {
         eprintln!("error: --scenario is required (one of {NAMES:?})\n\n{USAGE}");
         return ExitCode::FAILURE;
@@ -243,7 +251,7 @@ fn main() -> ExitCode {
         TransitionMode::Classic
     };
     let switchless_config = SwitchlessConfig {
-        workers: args.switchless_workers.max(1),
+        workers: args.switchless_workers,
         spin_budget: args.spin_budget,
         ..SwitchlessConfig::default()
     };
@@ -273,7 +281,7 @@ fn main() -> ExitCode {
 
     let mut config = LoadConfig::new(args.sessions, args.seed, mode);
     config.workers = args.workers;
-    config.clients = args.clients.max(1);
+    config.clients = args.clients;
     config.latency = SimDuration::from_micros(args.latency_us);
     config.faults = FaultConfig {
         drop_chance: args.drop,
@@ -281,6 +289,9 @@ fn main() -> ExitCode {
         duplicate_chance: args.duplicate,
         ..FaultConfig::default()
     };
+    if let Err(e) = config.validate() {
+        return invalid(&e.to_string());
+    }
 
     if !args.json {
         eprintln!(
@@ -293,7 +304,7 @@ fn main() -> ExitCode {
     let runner = LoadRunner::new(config);
 
     if let Some(path) = args.bench.as_deref() {
-        let shards = args.shards.unwrap_or(4).max(1);
+        let shards = args.shards.unwrap_or(4);
         let t0 = Instant::now();
         let baseline = runner.run_sharded(scenario.name(), &calibration, 1);
         let baseline_wall = t0.elapsed();
@@ -342,13 +353,13 @@ fn main() -> ExitCode {
     let report = match args.shards {
         Some(n) => {
             let t0 = Instant::now();
-            let report = runner.run_sharded(scenario.name(), &calibration, n.max(1));
+            let report = runner.run_sharded(scenario.name(), &calibration, n);
             if !args.json {
                 let wall = t0.elapsed();
                 eprintln!(
                     "replayed {} sessions on {} shard(s) in {:.1} ms wall",
                     report.sessions,
-                    n.max(1),
+                    n,
                     wall.as_secs_f64() * 1e3,
                 );
             }
@@ -372,6 +383,12 @@ fn main() -> ExitCode {
         report_rss();
     }
     ExitCode::SUCCESS
+}
+
+/// Reports an invalid option value and exits 2.
+fn invalid(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::from(2)
 }
 
 /// One trajectory entry (a single line of JSON): the wall-clock numbers

@@ -28,7 +28,8 @@ pub enum Arrival {
 /// Deterministic generator of arrival times for one run.
 pub struct ArrivalProcess {
     kind: Arrival,
-    rng: SecureRng,
+    /// Open loop only: a closed loop draws nothing, so it holds no RNG.
+    rng: Option<SecureRng>,
     next_at: SimTime,
     issued: u64,
     total: u64,
@@ -38,9 +39,22 @@ impl ArrivalProcess {
     /// A process issuing `total` sessions under `kind`; all randomness
     /// comes from `rng` (forked per concern by the caller).
     pub fn new(kind: Arrival, total: u64, rng: SecureRng) -> Self {
+        ArrivalProcess::with_rng(kind, total, || rng)
+    }
+
+    /// The process a run seeded with `seed` uses: its RNG is the seed's
+    /// `fork(b"arrivals")`, derived only for open loop, so a closed-loop
+    /// process costs no key derivation.
+    pub fn seeded(kind: Arrival, total: u64, seed: u64) -> Self {
+        ArrivalProcess::with_rng(kind, total, || {
+            SecureRng::seed_from_u64(seed).fork(b"arrivals")
+        })
+    }
+
+    fn with_rng(kind: Arrival, total: u64, rng: impl FnOnce() -> SecureRng) -> Self {
         ArrivalProcess {
             kind,
-            rng,
+            rng: matches!(kind, Arrival::OpenLoop { .. }).then(rng),
             next_at: SimTime::ZERO,
             issued: 0,
             total,
@@ -70,7 +84,8 @@ impl ArrivalProcess {
         match self.kind {
             Arrival::OpenLoop { rate_per_sec } => {
                 let at = self.next_at;
-                let gap = exponential_gap(rate_per_sec, &mut self.rng);
+                let rng = self.rng.as_mut().expect("open loop holds an RNG");
+                let gap = exponential_gap(rate_per_sec, rng);
                 self.next_at += gap;
                 self.issued += 1;
                 Some((idx, at))
@@ -191,6 +206,19 @@ mod tests {
         let mut past_end = make();
         past_end.skip(10_000);
         assert_eq!(past_end.next_arrival(), None, "skip clamps at exhaustion");
+    }
+
+    #[test]
+    fn seeded_matches_the_explicit_arrivals_fork() {
+        let open = Arrival::OpenLoop { rate_per_sec: 40.0 };
+        let rng = SecureRng::seed_from_u64(12).fork(b"arrivals");
+        let mut explicit = ArrivalProcess::new(open, 50, rng);
+        let mut seeded = ArrivalProcess::seeded(open, 50, 12);
+        let a: Vec<_> = std::iter::from_fn(|| explicit.next_arrival()).collect();
+        let b: Vec<_> = std::iter::from_fn(|| seeded.next_arrival()).collect();
+        assert_eq!(a, b);
+        let closed = ArrivalProcess::seeded(Arrival::ClosedLoop { concurrency: 2 }, 5, 12);
+        assert!(closed.rng.is_none(), "a closed loop derives no RNG");
     }
 
     #[test]

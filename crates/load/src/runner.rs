@@ -25,10 +25,12 @@
 //! scratch buffer returned to the pool) the moment they complete or fail.
 //! Open-loop arrivals are scheduled one at a time — only the next pending
 //! arrival ever sits in the heap — so driving N sessions costs
-//! O(live sessions) memory, not O(N). Session identity is the global
-//! session index, carried in the wire header and in the slot, so slot
-//! reuse is invisible to every observable: reports are byte-identical to
-//! the retained engine's.
+//! O(live sessions) memory, not O(N). A live session is addressed by a
+//! generation-tagged slot handle, carried in its events and wire headers;
+//! retiring a slot bumps its generation, so stale events and packets miss
+//! just as the retained engine's finished-session guards drop them.
+//! Nothing observable depends on the handle's value, so reports are
+//! byte-identical to the retained engine's.
 //!
 //! [`LoadRunner::run_reference`] keeps the pre-streaming *retained*
 //! engine: every session materialised in a `Vec` for the whole run and
@@ -48,11 +50,10 @@
 //! fire, so lazy insertion never reorders the heap.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use bytes::Bytes;
-use teenet_crypto::SecureRng;
 use teenet_netsim::{FaultConfig, LinkConfig, Network, NodeId, SimDuration, SimTime};
 use teenet_sgx::cost::CostModel;
 
@@ -125,6 +126,42 @@ impl LoadConfig {
             max_retries: 8,
         }
     }
+
+    /// Checks every knob a run depends on, so invalid input is rejected
+    /// instead of clamped or run into a nonsense report: an explicit
+    /// open-loop rate must be finite and positive, each fault probability
+    /// must lie in [0, 1], and the closed-loop concurrency, the worker
+    /// count and the client count must be at least 1.
+    pub fn validate(&self) -> Result<(), LoadError> {
+        let invalid = |field, requirement| Err(LoadError::InvalidConfig { field, requirement });
+        match self.mode {
+            LoadMode::Open {
+                rate_per_sec: Some(rate),
+            } if !(rate.is_finite() && rate > 0.0) => {
+                return invalid("rate_per_sec", "a finite number above 0");
+            }
+            LoadMode::Closed { concurrency: 0 } => return invalid("concurrency", "at least 1"),
+            _ => {}
+        }
+        if self.workers == 0 {
+            return invalid("workers", "at least 1");
+        }
+        if self.clients == 0 {
+            return invalid("clients", "at least 1");
+        }
+        let f = &self.faults;
+        for (field, p) in [
+            ("faults.drop_chance", f.drop_chance),
+            ("faults.corrupt_chance", f.corrupt_chance),
+            ("faults.duplicate_chance", f.duplicate_chance),
+            ("faults.reorder_chance", f.reorder_chance),
+        ] {
+            if !(0.0..=1.0).contains(&p) {
+                return invalid(field, "a probability in [0, 1]");
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A load run that cannot start on this target.
@@ -139,6 +176,14 @@ pub enum LoadError {
         /// The requested session count.
         sessions: u64,
     },
+    /// A [`LoadConfig`] field holds a value no run can use (see
+    /// [`LoadConfig::validate`]).
+    InvalidConfig {
+        /// The offending field, as named in [`LoadConfig`].
+        field: &'static str,
+        /// What the field must be.
+        requirement: &'static str,
+    },
 }
 
 impl fmt::Display for LoadError {
@@ -150,18 +195,23 @@ impl fmt::Display for LoadError {
                  engine on this target (usize is {} bits); use the streaming engine",
                 usize::BITS
             ),
+            LoadError::InvalidConfig { field, requirement } => {
+                write!(f, "invalid load config: {field} must be {requirement}")
+            }
         }
     }
 }
 
 impl std::error::Error for LoadError {}
 
-/// Driver-side events, interleaved with network deliveries.
+/// Driver-side events, interleaved with network deliveries. `session` is
+/// the global session index; `key` is the session's [`SessionTable`]
+/// key, the value its wire headers carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     Arrive { session: u64 },
-    ServiceDone { session: u64, op: u32 },
-    Timeout { session: u64, op: u32, attempt: u32 },
+    ServiceDone { key: u64, op: u32 },
+    Timeout { key: u64, op: u32, attempt: u32 },
 }
 
 #[derive(PartialEq, Eq)]
@@ -199,8 +249,11 @@ struct Session {
     failed: bool,
 }
 
-/// Wire header: session (8) + op (4) + attempt (4) + FNV-1a checksum (8).
+/// Wire header: session key (8) + op (4) + attempt (4) + FNV-1a checksum (8).
 pub(crate) const HEADER_LEN: usize = 24;
+
+/// Mixed into the run seed to seed the engine's network.
+const NETSIM_SALT: u64 = 0x6e65_7473_696d; // "netsim"
 
 pub(crate) fn fnv1a(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -211,13 +264,13 @@ pub(crate) fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
-/// Frames `(session, op, attempt)` plus zero padding to `len` into `buf`,
+/// Frames `(key, op, attempt)` plus zero padding to `len` into `buf`,
 /// reusing its capacity. The wire format of [`encode`], allocation-free
 /// once the buffer has grown to the scenario's largest frame.
-fn encode_into(buf: &mut Vec<u8>, session: u64, op: u32, attempt: u32, len: usize) {
+fn encode_into(buf: &mut Vec<u8>, key: u64, op: u32, attempt: u32, len: usize) {
     buf.clear();
     buf.resize(len.max(HEADER_LEN), 0);
-    buf[0..8].copy_from_slice(&session.to_le_bytes());
+    buf[0..8].copy_from_slice(&key.to_le_bytes());
     buf[8..12].copy_from_slice(&op.to_le_bytes());
     buf[12..16].copy_from_slice(&attempt.to_le_bytes());
     let sum = fnv1a(&buf[0..16]);
@@ -225,9 +278,9 @@ fn encode_into(buf: &mut Vec<u8>, session: u64, op: u32, attempt: u32, len: usiz
 }
 
 /// Frames into a fresh allocation — the retained reference engine's path.
-fn encode(session: u64, op: u32, attempt: u32, len: usize) -> Vec<u8> {
+fn encode(key: u64, op: u32, attempt: u32, len: usize) -> Vec<u8> {
     let mut buf = Vec::new();
-    encode_into(&mut buf, session, op, attempt, len);
+    encode_into(&mut buf, key, op, attempt, len);
     buf
 }
 
@@ -239,10 +292,10 @@ fn decode(buf: &[u8]) -> Option<(u64, u32, u32)> {
     if fnv1a(&buf[0..16]) != sum {
         return None;
     }
-    let session = u64::from_le_bytes(buf[0..8].try_into().ok()?);
+    let key = u64::from_le_bytes(buf[0..8].try_into().ok()?);
     let op = u32::from_le_bytes(buf[8..12].try_into().ok()?);
     let attempt = u32::from_le_bytes(buf[12..16].try_into().ok()?);
-    Some((session, op, attempt))
+    Some((key, op, attempt))
 }
 
 /// Peak-resource diagnostics of one engine run. Never part of the
@@ -266,108 +319,177 @@ pub struct EngineStats {
     pub slots_allocated: u64,
 }
 
-/// One live session's storage: its global identity, protocol state, and
-/// the scratch buffer every frame it sends is built in. Recycled (with
-/// the scratch capacity) when the slot is reused by a later session.
+/// One slab slot: the live session it holds, the scratch buffer every
+/// frame that session sends is built in, and the generation that tells
+/// its occupants apart. Recycled (with the scratch capacity) when a later
+/// session reuses it.
 struct Slot {
-    id: u64,
+    /// Bumped on every retirement, so handles to earlier occupants miss.
+    generation: u32,
     sess: Session,
     scratch: Vec<u8>,
+}
+
+/// The streaming table's key for `slot` in `generation`: the slot index
+/// in the low 32 bits, the generation in the high 32.
+fn slot_handle(slot: u32, generation: u32) -> u64 {
+    u64::from(slot) | u64::from(generation) << 32
 }
 
 /// Where the engine keeps session state: the streaming slab (O(live))
 /// or the retained reference `Vec` (O(total), kept as the equivalence
 /// oracle for the streaming path).
+///
+/// Sessions are found by a `u64` key, which driver events and wire
+/// headers carry. The retained table's key is the global session index.
+/// The slab's is a generation-tagged slot handle ([`slot_handle`]):
+/// retiring a slot bumps its generation, so a stale event or packet for
+/// a retired session misses exactly as the retained table's `done` /
+/// `failed` guards drop it, even after a new session took the slot.
 enum SessionTable {
     Retained(Vec<Session>),
     Slab {
         slots: Vec<Slot>,
         free: Vec<u32>,
-        /// Session id → slot. Deterministic lookups (no hashing RNG);
-        /// holds only live sessions, so O(live) nodes.
-        index: BTreeMap<u64, u32>,
+        live: u64,
     },
 }
 
 impl SessionTable {
-    /// Inserts a newly arrived session; returns the live count after.
-    fn insert(&mut self, id: u64, sess: Session, frame_cap: usize, allocated: &mut u64) -> u64 {
+    /// Inserts newly arrived session `id`; returns its key and the live
+    /// count after.
+    fn insert(
+        &mut self,
+        id: u64,
+        sess: Session,
+        frame_cap: usize,
+        allocated: &mut u64,
+    ) -> (u64, u64) {
         match self {
             SessionTable::Retained(v) => {
                 debug_assert_eq!(v.len() as u64, id);
                 v.push(sess);
-                v.len() as u64
+                (id, v.len() as u64)
             }
-            SessionTable::Slab { slots, free, index } => {
+            SessionTable::Slab { slots, free, live } => {
                 let slot = match free.pop() {
                     Some(i) => {
-                        let s = &mut slots[i as usize];
-                        s.id = id;
-                        s.sess = sess;
+                        slots[i as usize].sess = sess;
                         i
                     }
                     None => {
                         *allocated += 1;
                         slots.push(Slot {
-                            id,
+                            generation: 0,
                             sess,
                             scratch: Vec::with_capacity(frame_cap),
                         });
                         (slots.len() - 1) as u32
                     }
                 };
-                index.insert(id, slot);
-                index.len() as u64
+                *live += 1;
+                (slot_handle(slot, slots[slot as usize].generation), *live)
             }
         }
     }
 
-    fn get(&self, id: u64) -> Option<&Session> {
+    /// The slab slot `key` names, if its generation is current.
+    fn slot(slots: &[Slot], key: u64) -> Option<usize> {
+        let slot = key as u32 as usize;
+        let generation = (key >> 32) as u32;
+        slots
+            .get(slot)
+            .filter(|s| s.generation == generation)
+            .map(|_| slot)
+    }
+
+    fn get(&self, key: u64) -> Option<&Session> {
         match self {
-            SessionTable::Retained(v) => usize::try_from(id).ok().and_then(|i| v.get(i)),
-            SessionTable::Slab { slots, index, .. } => {
-                index.get(&id).map(|&i| &slots[i as usize].sess)
-            }
+            SessionTable::Retained(v) => usize::try_from(key).ok().and_then(|i| v.get(i)),
+            SessionTable::Slab { slots, .. } => Self::slot(slots, key).map(|i| &slots[i].sess),
         }
     }
 
-    fn get_mut(&mut self, id: u64) -> Option<&mut Session> {
+    fn get_mut(&mut self, key: u64) -> Option<&mut Session> {
         match self {
-            SessionTable::Retained(v) => usize::try_from(id).ok().and_then(|i| v.get_mut(i)),
-            SessionTable::Slab { slots, index, .. } => {
-                index.get(&id).map(|&i| &mut slots[i as usize].sess)
-            }
+            SessionTable::Retained(v) => usize::try_from(key).ok().and_then(|i| v.get_mut(i)),
+            SessionTable::Slab { slots, .. } => Self::slot(slots, key).map(|i| &mut slots[i].sess),
         }
     }
 
-    /// Frames a message for `id` as wire bytes. Streaming: built in the
+    /// Frames a message for `key` as wire bytes. Streaming: built in the
     /// session's pooled scratch buffer (no per-message `Vec`). Retained:
     /// a fresh allocation, exactly as the pre-streaming engine framed.
-    fn frame(&mut self, id: u64, op: u32, attempt: u32, len: usize) -> Option<Bytes> {
+    fn frame(&mut self, key: u64, op: u32, attempt: u32, len: usize) -> Option<Bytes> {
         match self {
-            SessionTable::Retained(_) => Some(Bytes::from(encode(id, op, attempt, len))),
-            SessionTable::Slab { slots, index, .. } => {
-                let &slot = index.get(&id)?;
-                let scratch = &mut slots[slot as usize].scratch;
-                encode_into(scratch, id, op, attempt, len);
+            SessionTable::Retained(_) => Some(Bytes::from(encode(key, op, attempt, len))),
+            SessionTable::Slab { slots, .. } => {
+                let slot = Self::slot(slots, key)?;
+                let scratch = &mut slots[slot].scratch;
+                encode_into(scratch, key, op, attempt, len);
                 Some(Bytes::copy_from_slice(scratch))
             }
         }
     }
 
     /// Returns a finished session's slot (and scratch capacity) to the
-    /// pool. Stale events looking the id up afterwards find nothing and
-    /// are dropped — observationally identical to the retained path's
-    /// `done`/`failed` flag checks. No-op for the retained table.
-    fn retire(&mut self, id: u64) {
-        if let SessionTable::Slab { slots, free, index } = self {
-            if let Some(slot) = index.remove(&id) {
-                let s = &mut slots[slot as usize];
-                s.id = u64::MAX;
+    /// pool and bumps its generation: events and packets still carrying
+    /// the old handle miss from now on. No-op for the retained table.
+    fn retire(&mut self, key: u64) {
+        if let SessionTable::Slab { slots, free, live } = self {
+            if let Some(i) = Self::slot(slots, key) {
+                let s = &mut slots[i];
+                s.generation = s.generation.wrapping_add(1);
                 s.scratch.clear();
-                free.push(slot);
+                free.push(i as u32);
+                *live -= 1;
             }
         }
+    }
+
+    /// Retires every slot at once (the pooled sharded engine's rewind).
+    fn clear(&mut self) {
+        if let SessionTable::Slab { slots, free, live } = self {
+            free.clear();
+            for (i, s) in slots.iter_mut().enumerate() {
+                s.generation = s.generation.wrapping_add(1);
+                s.scratch.clear();
+                free.push(i as u32);
+            }
+            *live = 0;
+        }
+    }
+}
+
+/// The server's service workers, as a min-heap of `(free_at, index)`.
+/// Its top is the earliest-free worker, lowest index on ties: the worker
+/// a linear scan for the least `(free_at, index)` picks, found in
+/// O(log workers) instead of O(workers).
+struct WorkerPool(BinaryHeap<Reverse<(SimTime, u32)>>);
+
+impl WorkerPool {
+    fn new(workers: u32) -> Self {
+        let mut pool = WorkerPool(BinaryHeap::new());
+        pool.reset(workers);
+        pool
+    }
+
+    /// Frees all `workers` at t=0, reusing the heap's storage.
+    fn reset(&mut self, workers: u32) {
+        let mut v = std::mem::take(&mut self.0).into_vec();
+        v.clear();
+        v.extend((0..workers.max(1)).map(|i| Reverse((SimTime::ZERO, i))));
+        self.0 = BinaryHeap::from(v);
+    }
+
+    /// Books the earliest-free worker for a job that arrives at `at` and
+    /// takes `service`; returns the worker's index and when it finishes.
+    fn assign(&mut self, at: SimTime, service: SimDuration) -> (u32, SimTime) {
+        let mut top = self.0.peek_mut().expect("the pool is never empty");
+        let Reverse((free_at, index)) = *top;
+        let done_at = free_at.max(at) + service;
+        *top = Reverse((done_at, index));
+        (index, done_at)
     }
 }
 
@@ -384,6 +506,8 @@ pub(crate) struct Engine<'a> {
     net: Network,
     server: NodeId,
     client_nodes: Vec<NodeId>,
+    /// Buffer the network's ready list is taken into each step.
+    ready: Vec<NodeId>,
     heap: BinaryHeap<Reverse<DriverEvent>>,
     next_seq: u64,
     table: SessionTable,
@@ -394,8 +518,7 @@ pub(crate) struct Engine<'a> {
     /// the calibrated script).
     frame_cap: usize,
     arrivals: ArrivalProcess,
-    /// Earliest-free time per service worker.
-    workers: Vec<SimTime>,
+    workers: WorkerPool,
     timeout: SimDuration,
     /// Every outcome accumulator, extracted into one mergeable value so
     /// the sharded runner can combine per-shard engines.
@@ -484,7 +607,7 @@ impl<'a> Engine<'a> {
         let table = SessionTable::Slab {
             slots: Vec::new(),
             free: Vec::new(),
-            index: BTreeMap::new(),
+            live: 0,
         };
         Engine::build(cfg, cal, model, table)
     }
@@ -520,9 +643,9 @@ impl<'a> Engine<'a> {
         model: &'a CostModel,
         table: SessionTable,
     ) -> Self {
-        let mut net = Network::new(cfg.seed ^ 0x6e65_7473_696d); // "netsim"
-                                                                 // The engine never reads the packet trace; recording it would be
-                                                                 // the one remaining O(total packets) buffer in a streaming run.
+        let mut net = Network::new(cfg.seed ^ NETSIM_SALT);
+        // The engine never reads the packet trace; recording it would be
+        // the one remaining O(total packets) buffer in a streaming run.
         net.set_tracing(false);
         let server = net.add_node();
         let clients = cfg.clients.max(1);
@@ -555,19 +678,6 @@ impl<'a> Engine<'a> {
             )
         });
 
-        let rate = effective_rate(cfg, cal, model);
-        let kind = match cfg.mode {
-            LoadMode::Open { .. } => Arrival::OpenLoop { rate_per_sec: rate },
-            LoadMode::Closed { concurrency } => Arrival::ClosedLoop {
-                concurrency: concurrency.max(1),
-            },
-        };
-        let arrivals = ArrivalProcess::new(
-            kind,
-            cfg.sessions,
-            SecureRng::seed_from_u64(cfg.seed).fork(b"arrivals"),
-        );
-
         let lazy_arrivals = matches!(cfg.mode, LoadMode::Open { .. });
         Engine {
             cfg,
@@ -576,6 +686,7 @@ impl<'a> Engine<'a> {
             net,
             server,
             client_nodes,
+            ready: Vec::new(),
             heap: BinaryHeap::new(),
             // Open-loop arrival i is pinned to seq i in both engine
             // paths; the shared counter for everything else therefore
@@ -584,8 +695,8 @@ impl<'a> Engine<'a> {
             table,
             lazy_arrivals,
             frame_cap: cal.max_frame_bytes(),
-            arrivals,
-            workers: vec![SimTime::ZERO; cfg.workers.max(1) as usize],
+            arrivals: arrival_process(cfg, cal, model, cfg.seed),
+            workers: WorkerPool::new(cfg.workers),
             timeout,
             metrics: RunMetrics::new(),
             stats: EngineStats::default(),
@@ -646,23 +757,26 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Delivers everything due by `until`, then handles each packet: the
+    /// nodes with packets waiting come off the network's ready list in
+    /// ascending id order, so the server (node 0) goes first and clients
+    /// follow by index, and no idle client inbox is polled.
     fn step_network(&mut self, until: SimTime) {
         self.net.run_until(until);
-        while let Some((at, packet)) = self.net.recv_timed(self.server) {
-            match decode(&packet.payload) {
-                Some((s, op, attempt)) => self.on_request(at, s, op, attempt),
-                None => self.metrics.corrupt_rx += 1,
-            }
-        }
-        for i in 0..self.client_nodes.len() {
-            let node = self.client_nodes[i];
+        let mut ready = std::mem::take(&mut self.ready);
+        self.net.take_ready(&mut ready);
+        for &node in &ready {
             while let Some((at, packet)) = self.net.recv_timed(node) {
                 match decode(&packet.payload) {
-                    Some((s, op, _)) => self.on_response(at, s, op),
+                    Some((key, op, attempt)) if node == self.server => {
+                        self.on_request(at, key, op, attempt)
+                    }
+                    Some((key, op, _)) => self.on_response(at, key, op),
                     None => self.metrics.corrupt_rx += 1,
                 }
             }
         }
+        self.ready = ready;
     }
 
     fn step_driver(&mut self, at: SimTime) {
@@ -672,12 +786,8 @@ impl<'a> Engine<'a> {
         };
         match event.ev {
             Ev::Arrive { session } => self.on_arrive(at, session),
-            Ev::ServiceDone { session, op } => self.on_service_done(at, session, op),
-            Ev::Timeout {
-                session,
-                op,
-                attempt,
-            } => self.on_timeout(at, session, op, attempt),
+            Ev::ServiceDone { key, op } => self.on_service_done(key, op),
+            Ev::Timeout { key, op, attempt } => self.on_timeout(at, key, op, attempt),
         }
     }
 
@@ -686,7 +796,7 @@ impl<'a> Engine<'a> {
             self.schedule_next_arrival();
         }
         let client = self.client_nodes[(session % self.client_nodes.len() as u64) as usize];
-        let live = self.table.insert(
+        let (key, live) = self.table.insert(
             session,
             Session {
                 arrived_at: at,
@@ -702,13 +812,13 @@ impl<'a> Engine<'a> {
             &mut self.stats.slots_allocated,
         );
         self.stats.peak_live_sessions = self.stats.peak_live_sessions.max(live);
-        self.send_request(at, session);
+        self.send_request(key);
     }
 
-    /// Transmits the current op's request for `session` and arms its
+    /// Transmits the current op's request for `key` and arms its
     /// retransmission timeout.
-    fn send_request(&mut self, at: SimTime, session: u64) {
-        let Some(sess) = self.table.get(session).copied() else {
+    fn send_request(&mut self, key: u64) {
+        let Some(sess) = self.table.get(key).copied() else {
             return;
         };
         let op = &self.cal.ops[sess.op as usize];
@@ -716,29 +826,25 @@ impl<'a> Engine<'a> {
             self.metrics.steady_client.fold(op.client);
         }
         let request_bytes = op.request_bytes;
-        let Some(payload) = self
-            .table
-            .frame(session, sess.op, sess.attempt, request_bytes)
-        else {
+        let Some(payload) = self.table.frame(key, sess.op, sess.attempt, request_bytes) else {
             return;
         };
         self.net.send(sess.client, self.server, payload);
-        let _ = at;
         self.push(
             self.net.now() + self.timeout,
             Ev::Timeout {
-                session,
+                key,
                 op: sess.op,
                 attempt: sess.attempt,
             },
         );
     }
 
-    fn on_request(&mut self, at: SimTime, session: u64, op: u32, _attempt: u32) {
-        // A miss is a session not yet arrived (stray bytes) or already
-        // retired — either way the datagram is stale and dropped, exactly
-        // as the retained path's done/failed guards drop it.
-        let Some(sess) = self.table.get(session).copied() else {
+    fn on_request(&mut self, at: SimTime, key: u64, op: u32, _attempt: u32) {
+        // A miss is a retired session (its handle's generation is stale)
+        // or stray bytes — either way the datagram is dropped, exactly as
+        // the retained path's done/failed guards drop it.
+        let Some(sess) = self.table.get_mut(key) else {
             return;
         };
         if sess.done || sess.failed || op != sess.op {
@@ -750,30 +856,20 @@ impl<'a> Engine<'a> {
         if sess.serviced_through.is_some_and(|t| t >= op) {
             // Serviced before but the response was lost: resend from the
             // idempotent cache without paying the service cost again.
-            self.send_response(session, op);
+            self.send_response(key, op);
             return;
         }
-        // Earliest-free worker, lowest index on ties (deterministic).
+        sess.in_service = Some(op);
         let profile = self.cal.ops[op as usize];
-        let (widx, _) = self
-            .workers
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, t)| (**t, *i))
-            .expect("workers is non-empty");
-        let start = self.workers[widx].max(at);
-        let done_at = start + SimDuration(profile.service_nanos(self.model, self.cfg.clock_hz));
-        self.workers[widx] = done_at;
-        if let Some(sess) = self.table.get_mut(session) {
-            sess.in_service = Some(op);
-        }
+        let service = SimDuration(profile.service_nanos(self.model, self.cfg.clock_hz));
+        let (_, done_at) = self.workers.assign(at, service);
         self.metrics.steady_server.fold(profile.server);
         self.metrics.transitions.merge(profile.transitions);
-        self.push(done_at, Ev::ServiceDone { session, op });
+        self.push(done_at, Ev::ServiceDone { key, op });
     }
 
-    fn on_service_done(&mut self, _at: SimTime, session: u64, op: u32) {
-        let Some(sess) = self.table.get_mut(session) else {
+    fn on_service_done(&mut self, key: u64, op: u32) {
+        let Some(sess) = self.table.get_mut(key) else {
             return; // session retired while the op was in service
         };
         if sess.done || sess.failed {
@@ -781,70 +877,62 @@ impl<'a> Engine<'a> {
         }
         sess.in_service = None;
         sess.serviced_through = Some(op);
-        self.send_response(session, op);
+        self.send_response(key, op);
     }
 
-    fn send_response(&mut self, session: u64, op: u32) {
-        let Some(client) = self.table.get(session).map(|s| s.client) else {
+    fn send_response(&mut self, key: u64, op: u32) {
+        let Some(client) = self.table.get(key).map(|s| s.client) else {
             return;
         };
         let response_bytes = self.cal.ops[op as usize].response_bytes;
-        let Some(payload) = self.table.frame(session, op, 0, response_bytes) else {
+        let Some(payload) = self.table.frame(key, op, 0, response_bytes) else {
             return;
         };
         self.net.send(self.server, client, payload);
     }
 
-    fn on_response(&mut self, at: SimTime, session: u64, op: u32) {
-        let Some(sess) = self.table.get(session).copied() else {
+    fn on_response(&mut self, at: SimTime, key: u64, op: u32) {
+        let ops = self.cal.ops.len();
+        let Some(sess) = self.table.get_mut(key) else {
             return; // response to a retired session
         };
         if sess.done || sess.failed || op != sess.op {
             return; // duplicate or stale response
         }
-        let finished = {
-            let sess = self.table.get_mut(session).expect("session is live");
-            sess.op += 1;
-            sess.attempt = 0;
-            (sess.op as usize) == self.cal.ops.len()
-        };
-        if finished {
-            if let Some(sess) = self.table.get_mut(session) {
-                sess.done = true;
-            }
-            let took = at - sess.arrived_at;
-            self.metrics.latency.record(took.as_nanos());
-            self.metrics.completed += 1;
-            self.metrics.last_done_ns = self.metrics.last_done_ns.max(at.as_nanos());
-            self.next_closed_loop_arrival(at);
-            self.table.retire(session);
-        } else {
-            self.send_request(at, session);
+        sess.op += 1;
+        sess.attempt = 0;
+        if (sess.op as usize) < ops {
+            self.send_request(key);
+            return;
         }
+        sess.done = true;
+        let took = at - sess.arrived_at;
+        self.metrics.latency.record(took.as_nanos());
+        self.metrics.completed += 1;
+        self.metrics.last_done_ns = self.metrics.last_done_ns.max(at.as_nanos());
+        self.next_closed_loop_arrival(at);
+        self.table.retire(key);
     }
 
-    fn on_timeout(&mut self, at: SimTime, session: u64, op: u32, attempt: u32) {
-        let Some(sess) = self.table.get(session).copied() else {
+    fn on_timeout(&mut self, at: SimTime, key: u64, op: u32, attempt: u32) {
+        let max_retries = self.cfg.max_retries;
+        let Some(sess) = self.table.get_mut(key) else {
             return; // timeout outlived its (retired) session
         };
         if sess.done || sess.failed || sess.op != op || sess.attempt != attempt {
             return; // op already progressed; timeout is stale
         }
-        if attempt >= self.cfg.max_retries {
-            if let Some(sess) = self.table.get_mut(session) {
-                sess.failed = true;
-            }
+        if attempt >= max_retries {
+            sess.failed = true;
             self.metrics.failed += 1;
             self.metrics.last_done_ns = self.metrics.last_done_ns.max(at.as_nanos());
             self.next_closed_loop_arrival(at);
-            self.table.retire(session);
+            self.table.retire(key);
             return;
         }
+        sess.attempt = attempt + 1;
         self.metrics.retries += 1;
-        if let Some(sess) = self.table.get_mut(session) {
-            sess.attempt = attempt + 1;
-        }
-        self.send_request(at, session);
+        self.send_request(key);
     }
 
     /// Closed loop replaces each finished session with a new arrival.
@@ -854,68 +942,62 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Finishes the run: folds the network's fault totals and queue
-    /// high-watermark into the accumulated metrics and returns them.
-    pub(crate) fn into_metrics(mut self) -> RunMetrics {
-        self.take_metrics()
-    }
-
-    /// [`Engine::into_metrics`] without consuming the engine: hands out
-    /// the finished run's metrics (network totals folded in) and leaves
-    /// a zeroed accumulator behind, so a pooled engine can be
-    /// [`Engine::reset_for_session`]-rewound and driven again.
-    pub(crate) fn take_metrics(&mut self) -> RunMetrics {
+    /// Folds the network's fault totals and server queue high-watermark
+    /// into the accumulated metrics. Once per network lifetime: a run's
+    /// end, or each sharded session's.
+    fn fold_network(&mut self) {
         self.metrics.net.merge(&self.net.fault_totals());
         self.metrics.max_server_queue = self
             .metrics
             .max_server_queue
             .max(self.net.max_queue_depth(self.server) as u64);
-        std::mem::take(&mut self.metrics)
     }
 
-    /// Rewinds the engine to the state [`Engine::new`] would produce for
-    /// this config with its seed replaced by `seed`, reusing every
-    /// allocation: the network topology (and its cleared per-node
-    /// inboxes), the session slab with its scratch capacities, and the
-    /// event heap's backing storage. The per-session seed is a parameter
-    /// because the sharded replay derives it per index while the borrowed
-    /// config's own seed stays the run seed.
-    pub(crate) fn reset_for_session(&mut self, seed: u64) {
-        self.net.reset(seed ^ 0x6e65_7473_696d); // "netsim", as in build()
+    /// Finishes a run: folds in the network's totals and returns the
+    /// metrics.
+    pub(crate) fn into_metrics(mut self) -> RunMetrics {
+        self.fold_network();
+        self.metrics
+    }
+
+    /// Replays one session of the sharded model on this engine, rewound
+    /// to the state [`Engine::new`] would produce for its config with
+    /// the seed replaced by `seed`. Every allocation is reused: the
+    /// network topology (and its cleared inboxes), the session slab with
+    /// its scratch capacity, the event and worker heaps, and the metrics,
+    /// which accumulate across sessions instead of being rebuilt and
+    /// merged per session. The session's network totals are folded in
+    /// before it returns; [`Engine::into_accumulated`] hands out the sum.
+    ///
+    /// Returns the session's duration: one session from t=0 resolves at
+    /// its duration, completed or abandoned. (The accumulated
+    /// `last_done_ns` is therefore the last session's and means nothing
+    /// to the sharded scheduler, which rebuilds global time itself.)
+    pub(crate) fn replay_session(&mut self, seed: u64) -> u64 {
+        self.net.reset(seed ^ NETSIM_SALT);
         self.heap.clear();
         self.next_seq = if self.lazy_arrivals {
             self.cfg.sessions
         } else {
             0
         };
-        if let SessionTable::Slab { slots, free, index } = &mut self.table {
-            // Drained runs retire every session, but a defensive sweep
-            // keeps a partially drained engine from leaking live slots
-            // into the next session.
-            index.clear();
-            free.clear();
-            for (i, slot) in slots.iter_mut().enumerate() {
-                slot.id = u64::MAX;
-                slot.scratch.clear();
-                free.push(i as u32);
-            }
-        }
-        let rate = effective_rate(self.cfg, self.cal, self.model);
-        let kind = match self.cfg.mode {
-            LoadMode::Open { .. } => Arrival::OpenLoop { rate_per_sec: rate },
-            LoadMode::Closed { concurrency } => Arrival::ClosedLoop {
-                concurrency: concurrency.max(1),
-            },
-        };
-        self.arrivals = ArrivalProcess::new(
-            kind,
-            self.cfg.sessions,
-            SecureRng::seed_from_u64(seed).fork(b"arrivals"),
-        );
-        for w in &mut self.workers {
-            *w = SimTime::ZERO;
-        }
-        self.metrics = RunMetrics::new();
+        // Drained runs retire every session, but clearing the whole slab
+        // keeps a partially drained engine from leaking live slots into
+        // the next session.
+        self.table.clear();
+        self.arrivals = arrival_process(self.cfg, self.cal, self.model, seed);
+        self.workers.reset(self.cfg.workers);
+        self.metrics.last_done_ns = 0;
+        self.prime();
+        self.drain();
+        self.fold_network();
+        self.metrics.last_done_ns
+    }
+
+    /// The metrics accumulated by [`Engine::replay_session`] calls, each
+    /// session's network totals already folded in.
+    pub(crate) fn into_accumulated(self) -> RunMetrics {
+        self.metrics
     }
 
     fn into_report(self, scenario: &str, cfg: &LoadConfig) -> RunReport {
@@ -923,6 +1005,25 @@ impl<'a> Engine<'a> {
         let model = self.model;
         report_from_metrics(scenario, cfg, cal, model, self.into_metrics())
     }
+}
+
+/// The arrival process of a run of `cfg` seeded with `seed`. Only open
+/// loop derives an RNG (the seed's `fork(b"arrivals")`).
+fn arrival_process(
+    cfg: &LoadConfig,
+    cal: &Calibration,
+    model: &CostModel,
+    seed: u64,
+) -> ArrivalProcess {
+    let kind = match cfg.mode {
+        LoadMode::Open { .. } => Arrival::OpenLoop {
+            rate_per_sec: effective_rate(cfg, cal, model),
+        },
+        LoadMode::Closed { concurrency } => Arrival::ClosedLoop {
+            concurrency: concurrency.max(1),
+        },
+    };
+    ArrivalProcess::seeded(kind, cfg.sessions, seed)
 }
 
 /// Assembles the byte-stable [`RunReport`] from finished run metrics —
@@ -1291,6 +1392,161 @@ mod tests {
         assert!(msg.contains("streaming"), "{msg}");
     }
 
+    /// The config a field test breaks one knob of; valid as it stands.
+    fn valid_config() -> LoadConfig {
+        let cfg = LoadConfig::new(10, 1, LoadMode::Closed { concurrency: 4 });
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg
+    }
+
+    fn rejected_field(cfg: &LoadConfig) -> &'static str {
+        match cfg.validate() {
+            Err(LoadError::InvalidConfig { field, .. }) => field,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_rate() {
+        for rate in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = valid_config();
+            cfg.mode = LoadMode::Open {
+                rate_per_sec: Some(rate),
+            };
+            assert_eq!(rejected_field(&cfg), "rate_per_sec", "rate {rate}");
+        }
+        let mut cfg = valid_config();
+        cfg.mode = LoadMode::Open { rate_per_sec: None };
+        assert_eq!(cfg.validate(), Ok(()), "the automatic rate is valid");
+        let err = LoadError::InvalidConfig {
+            field: "rate_per_sec",
+            requirement: "a finite number above 0",
+        };
+        assert_eq!(
+            err.to_string(),
+            "invalid load config: rate_per_sec must be a finite number above 0"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_zero_concurrency() {
+        let mut cfg = valid_config();
+        cfg.mode = LoadMode::Closed { concurrency: 0 };
+        assert_eq!(rejected_field(&cfg), "concurrency");
+    }
+
+    #[test]
+    fn validate_rejects_zero_workers() {
+        let mut cfg = valid_config();
+        cfg.workers = 0;
+        assert_eq!(rejected_field(&cfg), "workers");
+    }
+
+    #[test]
+    fn validate_rejects_zero_clients() {
+        let mut cfg = valid_config();
+        cfg.clients = 0;
+        assert_eq!(rejected_field(&cfg), "clients");
+    }
+
+    /// Sets one fault probability of `cfg` by field name.
+    fn set_fault(cfg: &mut LoadConfig, field: &str, p: f64) {
+        let f = &mut cfg.faults;
+        match field {
+            "faults.drop_chance" => f.drop_chance = p,
+            "faults.corrupt_chance" => f.corrupt_chance = p,
+            "faults.duplicate_chance" => f.duplicate_chance = p,
+            "faults.reorder_chance" => f.reorder_chance = p,
+            other => unreachable!("{other}"),
+        }
+    }
+
+    fn assert_probability_checked(field: &'static str) {
+        for bad in [-0.1, 1.5, f64::NAN] {
+            let mut cfg = valid_config();
+            set_fault(&mut cfg, field, bad);
+            assert_eq!(rejected_field(&cfg), field, "{field} = {bad}");
+        }
+        for good in [0.0, 0.25, 1.0] {
+            let mut cfg = valid_config();
+            set_fault(&mut cfg, field, good);
+            assert_eq!(cfg.validate(), Ok(()), "{field} = {good}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_drop_chance() {
+        assert_probability_checked("faults.drop_chance");
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_corrupt_chance() {
+        assert_probability_checked("faults.corrupt_chance");
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_duplicate_chance() {
+        assert_probability_checked("faults.duplicate_chance");
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_reorder_chance() {
+        assert_probability_checked("faults.reorder_chance");
+    }
+
+    fn fresh_session() -> Session {
+        Session {
+            arrived_at: SimTime::ZERO,
+            client: NodeId(1),
+            op: 0,
+            attempt: 0,
+            serviced_through: None,
+            in_service: None,
+            done: false,
+            failed: false,
+        }
+    }
+
+    /// A retired session's handle misses once its slot holds a new
+    /// session: lookups, framing and a second retirement all ignore it,
+    /// while the new occupant's handle hits.
+    #[test]
+    fn stale_handle_misses_after_its_slot_is_reused() {
+        let mut table = SessionTable::Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        };
+        let mut allocated = 0;
+        let (old, live) = table.insert(0, fresh_session(), 64, &mut allocated);
+        assert_eq!(live, 1);
+        assert!(table.get(old).is_some());
+        table.retire(old);
+        assert!(table.get(old).is_none(), "retired");
+
+        let (new, live) = table.insert(1, fresh_session(), 64, &mut allocated);
+        assert_eq!((live, allocated), (1, 1), "the slot was reused");
+        assert_eq!(new as u32, old as u32, "same slot index");
+        assert_ne!(new, old, "different generation");
+        assert!(table.get(old).is_none());
+        assert!(table.get_mut(old).is_none());
+        assert!(table.frame(old, 0, 0, 32).is_none());
+        table.retire(old);
+        assert!(
+            table.get(new).is_some(),
+            "a stale retire leaves the occupant"
+        );
+        let frame = table.frame(new, 0, 0, 32).expect("live handle frames");
+        assert_eq!(
+            decode(&frame),
+            Some((new, 0, 0)),
+            "the handle is on the wire"
+        );
+
+        table.clear();
+        assert!(table.get(new).is_none(), "clearing retires every slot");
+    }
+
     #[cfg(target_pointer_width = "32")]
     #[test]
     fn reference_engine_rejects_unaddressable_session_counts() {
@@ -1299,6 +1555,35 @@ mod tests {
             .run_reference("toy", &toy_calibration())
             .unwrap_err();
         assert_eq!(err, LoadError::SessionCountOverflow { sessions: u64::MAX });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The worker heap books the same worker as a linear scan for the
+        /// least `(free_at, index)`, the rule it replaced, over random
+        /// arrival and service times. Short services make ties common.
+        #[test]
+        fn worker_heap_matches_linear_scan(
+            workers in 1u32..12,
+            gaps in proptest::collection::vec(0u64..40, 1..200),
+            services in proptest::collection::vec(0u64..6, 1..200),
+        ) {
+            let mut pool = WorkerPool::new(workers);
+            let mut scan = vec![SimTime::ZERO; workers as usize];
+            let mut at = SimTime::ZERO;
+            for (gap, service) in gaps.into_iter().zip(services) {
+                at += SimDuration(gap);
+                let (idx, _) = scan
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(i, t)| (*t, i))
+                    .expect("non-empty");
+                let done = scan[idx].max(at) + SimDuration(service);
+                scan[idx] = done;
+                prop_assert_eq!(pool.assign(at, SimDuration(service)), (idx as u32, done));
+            }
+        }
     }
 
     proptest! {

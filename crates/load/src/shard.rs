@@ -44,7 +44,6 @@
 use std::ops::Range;
 use std::thread;
 
-use teenet_crypto::SecureRng;
 use teenet_sgx::cost::CostModel;
 
 use crate::arrival::{Arrival, ArrivalProcess};
@@ -100,7 +99,7 @@ impl ShardPlan {
     }
 }
 
-/// What one shard hands back: its merged metrics (the session-local
+/// What one shard hands back: its accumulated metrics (the session-local
 /// `last_done_ns` in it is meaningless and overwritten by the scheduler)
 /// plus the constant-size scheduling aggregates its range reduced to —
 /// per-lane busy-time partial sums (closed loop) or the latest completion
@@ -124,30 +123,26 @@ fn run_shard(
     model: &CostModel,
     range: Range<u64>,
 ) -> ShardResult {
-    let mut metrics = RunMetrics::new();
     let (mut lane_busy, mut arrivals) = match cfg.mode {
         LoadMode::Closed { concurrency } => (vec![0u64; concurrency.max(1) as usize], None),
         LoadMode::Open { .. } => {
             // Re-derive the global Poisson schedule (same fork the serial
             // engine uses) and position it at this shard's first index.
             let rate = effective_rate(cfg, cal, model);
-            let mut a = ArrivalProcess::new(
-                Arrival::OpenLoop { rate_per_sec: rate },
-                cfg.sessions,
-                SecureRng::seed_from_u64(cfg.seed).fork(b"arrivals"),
-            );
+            let open = Arrival::OpenLoop { rate_per_sec: rate };
+            let mut a = ArrivalProcess::seeded(open, cfg.sessions, cfg.seed);
             a.skip(range.start);
             (Vec::new(), Some(a))
         }
     };
     let mut last_completion = 0u64;
     // One engine per shard, rewound per session: the private two-node
-    // network, the session slab (and its scratch buffer) and the event
-    // heap are allocated once and reused across the whole range instead
-    // of being rebuilt per session. Only the derived seed changes, so
-    // `reset_for_session` takes it as a parameter while the hoisted
-    // config keeps the session-replay shape (one session, one closed
-    // lane, one worker, one client).
+    // network, the session slab (and its scratch buffer), the event heap
+    // and the metrics are allocated once and reused across the whole
+    // range, so a session costs no allocation beyond its packets. Only
+    // the derived seed changes, so `replay_session` takes it as a
+    // parameter while the hoisted config keeps the session-replay shape
+    // (one session, one closed lane, one worker, one client).
     let mut session_cfg = cfg.clone();
     session_cfg.sessions = 1;
     session_cfg.mode = LoadMode::Closed { concurrency: 1 };
@@ -155,13 +150,7 @@ fn run_shard(
     session_cfg.clients = 1;
     let mut engine = Engine::new(&session_cfg, cal, model);
     for index in range {
-        engine.reset_for_session(ShardPlan::session_seed(cfg.seed, index));
-        engine.prime();
-        engine.drain();
-        let m = engine.take_metrics();
-        // One session from t=0: its local last-done time IS its duration
-        // (completion or abandonment).
-        let duration = m.last_done_ns;
+        let duration = engine.replay_session(ShardPlan::session_seed(cfg.seed, index));
         match arrivals.as_mut() {
             Some(a) => {
                 let (idx, at) = a.next_arrival().expect("stream covers the shard's range");
@@ -173,10 +162,9 @@ fn run_shard(
                 lane_busy[(index % lanes) as usize] += duration;
             }
         }
-        metrics.merge(&m);
     }
     ShardResult {
-        metrics,
+        metrics: engine.into_accumulated(),
         lane_busy,
         last_completion,
     }
@@ -357,10 +345,11 @@ mod tests {
         }
     }
 
-    /// The pooled per-shard engine (one engine rewound per session) must
-    /// be byte-identical to the pre-pooling model (a fresh engine built
-    /// per session) — `reset_for_session` is an optimisation, not a
-    /// different replay.
+    /// The pooled per-shard engine (one engine rewound per session,
+    /// accumulating into one set of metrics) must be byte-identical to
+    /// the pre-pooling model (a fresh engine and fresh metrics built per
+    /// session, then merged) — `replay_session` is an optimisation, not
+    /// a different replay.
     #[test]
     fn pooled_reset_matches_fresh_engines() {
         let cal = toy_calibration();

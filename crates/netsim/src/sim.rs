@@ -83,6 +83,8 @@ struct Node {
     inbox: VecDeque<(SimTime, Packet)>,
     /// Deepest the inbox has ever been (queue-depth high-watermark).
     max_depth: usize,
+    /// On the network's ready list (see [`Network::take_ready`]).
+    ready: bool,
 }
 
 #[derive(PartialEq, Eq)]
@@ -114,7 +116,13 @@ pub struct Network {
     queue: BinaryHeap<Reverse<Delivery>>,
     next_packet_id: u64,
     next_seq: u64,
-    rng: SecureRng,
+    /// Nodes a delivery has landed at since the last
+    /// [`Network::take_ready`], each at most once.
+    ready: Vec<NodeId>,
+    seed: u64,
+    /// The fault RNG parent, derived from `seed` on the first link that
+    /// needs a fork: a network of clean links never hashes a key.
+    rng: Option<SecureRng>,
     /// Packet trace (on by default; disable via [`Network::set_tracing`],
     /// payload capture opt-in via [`Network::enable_pcap`]).
     pub trace: Trace,
@@ -130,7 +138,9 @@ impl Network {
             queue: BinaryHeap::new(),
             next_packet_id: 0,
             next_seq: 0,
-            rng: SecureRng::seed_from_u64(seed),
+            ready: Vec::new(),
+            seed,
+            rng: None,
             trace: Trace::new(),
         }
     }
@@ -151,44 +161,35 @@ impl Network {
 
     /// Rewinds the network to the state `Network::new(seed)` plus the
     /// same nodes and links would produce, without reallocating the
-    /// topology: the clock returns to zero, inboxes, the event queue,
-    /// link stats/backlogs and the trace are cleared, and every fault
-    /// injector is re-derived from the new seed. A shard engine replaying
-    /// many sessions reuses one network this way instead of rebuilding
-    /// it per session.
+    /// topology: the clock returns to zero, inboxes, the ready list, the
+    /// event queue, link stats/backlogs and the trace are cleared, and
+    /// every fault injector is re-derived from the new seed. A shard
+    /// engine replaying many sessions reuses one network this way instead
+    /// of rebuilding it per session.
     ///
     /// Determinism: injector RNGs are forked per-link from a label of the
     /// link's endpoints, and [`SecureRng::fork`] never perturbs the
     /// parent, so re-forking here (in any map order) reproduces exactly
-    /// what [`Network::add_link`] derived at construction.
+    /// what [`Network::add_link`] derived at construction. The parent is
+    /// derived only if some link has faults to fork.
     pub fn reset(&mut self, seed: u64) {
         self.now = SimTime::ZERO;
         self.queue.clear();
         self.next_packet_id = 0;
         self.next_seq = 0;
-        self.rng = SecureRng::seed_from_u64(seed);
+        self.seed = seed;
+        self.rng = None;
         self.trace.clear();
+        self.ready.clear();
         for node in &mut self.nodes {
             node.inbox.clear();
             node.max_depth = 0;
+            node.ready = false;
         }
         for (&(src, dst), link) in &mut self.links {
             link.next_free = SimTime::ZERO;
             link.stats = LinkStats::default();
-            link.injector = if link.config.faults.is_clean() {
-                None
-            } else {
-                let label = [
-                    b"link".as_slice(),
-                    &src.0.to_le_bytes(),
-                    &dst.0.to_le_bytes(),
-                ]
-                .concat();
-                Some(FaultInjector::new(
-                    link.config.faults.clone(),
-                    self.rng.fork(&label),
-                ))
-            };
+            link.injector = injector_for(&link.config, src, dst, &mut self.rng, seed);
         }
     }
 
@@ -206,20 +207,7 @@ impl Network {
 
     /// Configures the unidirectional link `src → dst`.
     pub fn add_link(&mut self, src: NodeId, dst: NodeId, config: LinkConfig) {
-        let injector = if config.faults.is_clean() {
-            None
-        } else {
-            let label = [
-                b"link".as_slice(),
-                &src.0.to_le_bytes(),
-                &dst.0.to_le_bytes(),
-            ]
-            .concat();
-            Some(FaultInjector::new(
-                config.faults.clone(),
-                self.rng.fork(&label),
-            ))
-        };
+        let injector = injector_for(&config, src, dst, &mut self.rng, self.seed);
         self.links.insert(
             (src, dst),
             Link {
@@ -410,10 +398,14 @@ impl Network {
             {
                 link.stats.delivered += 1;
             }
-            let dst = delivery.packet.dst.0 as usize;
-            if let Some(node) = self.nodes.get_mut(dst) {
+            let dst = delivery.packet.dst;
+            if let Some(node) = self.nodes.get_mut(dst.0 as usize) {
                 node.inbox.push_back((delivery.at, delivery.packet));
                 node.max_depth = node.max_depth.max(node.inbox.len());
+                if !node.ready {
+                    node.ready = true;
+                    self.ready.push(dst);
+                }
             }
         }
         self.now = self.now.max(until);
@@ -424,6 +416,24 @@ impl Network {
         while let Some(Reverse(next)) = self.queue.peek() {
             let at = next.at;
             self.run_until(at);
+        }
+    }
+
+    /// Hands out, in ascending [`NodeId`] order, every node a delivery has
+    /// landed at since the previous call, and un-lists them. `into` is
+    /// cleared first; its buffer and the network's are swapped, so a
+    /// caller that passes the same `Vec` each time allocates nothing in
+    /// steady state. A node is listed at most once between calls, so the
+    /// list never holds more than [`Network::node_count`] entries, even
+    /// for a caller that never takes it. A caller that drains each handed
+    /// node's inbox completely polls exactly the nodes with packets
+    /// waiting, instead of every node.
+    pub fn take_ready(&mut self, into: &mut Vec<NodeId>) {
+        into.clear();
+        std::mem::swap(into, &mut self.ready);
+        into.sort_unstable();
+        for id in into.iter() {
+            self.nodes[id.0 as usize].ready = false;
         }
     }
 
@@ -483,6 +493,32 @@ impl Network {
     }
 }
 
+/// The fault injector of link `src → dst`, or `None` for a clean link.
+/// Forks it from the network's parent RNG, deriving that parent from
+/// `seed` first if no earlier link needed it.
+fn injector_for(
+    config: &LinkConfig,
+    src: NodeId,
+    dst: NodeId,
+    rng: &mut Option<SecureRng>,
+    seed: u64,
+) -> Option<FaultInjector> {
+    if config.faults.is_clean() {
+        return None;
+    }
+    let parent = rng.get_or_insert_with(|| SecureRng::seed_from_u64(seed));
+    let label = [
+        b"link".as_slice(),
+        &src.0.to_le_bytes(),
+        &dst.0.to_le_bytes(),
+    ]
+    .concat();
+    Some(FaultInjector::new(
+        config.faults.clone(),
+        parent.fork(&label),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,6 +569,59 @@ mod tests {
         drive(&mut reused, a2, b2);
         reused.reset(1);
         assert_eq!(drive(&mut reused, a2, b2), baseline);
+    }
+
+    /// The ready list hands out ascending, duplicate-free node ids — the
+    /// nodes with packets waiting — and, never taken, stays bounded by
+    /// the node count however many packets land.
+    #[test]
+    fn ready_list_is_ascending_unique_and_bounded() {
+        let mut net = Network::new(3);
+        let nodes: Vec<NodeId> = (0..6).map(|_| net.add_node()).collect();
+        net.connect_all(LinkConfig {
+            faults: FaultConfig {
+                duplicate_chance: 0.3,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        let mut rng = SecureRng::seed_from_u64(8);
+        let mut ready = Vec::new();
+        for _ in 0..40 {
+            for _ in 0..5 {
+                let src = nodes[rng.gen_range(6) as usize];
+                let dst = nodes[rng.gen_range(6) as usize];
+                if src != dst {
+                    net.send(src, dst, vec![0u8; 8]);
+                }
+            }
+            net.run_to_idle();
+            net.take_ready(&mut ready);
+            assert!(ready.windows(2).all(|w| w[0] < w[1]), "{ready:?}");
+            let waiting: Vec<NodeId> = nodes
+                .iter()
+                .copied()
+                .filter(|&n| net.pending(n) > 0)
+                .collect();
+            assert_eq!(ready, waiting, "exactly the nodes with packets waiting");
+            for &n in &ready {
+                net.recv_all(n);
+            }
+        }
+        net.take_ready(&mut ready);
+        assert!(ready.is_empty(), "everything was drained");
+
+        // A caller that never takes the list: hundreds of deliveries to
+        // every node list each node once.
+        for round in 0..200u32 {
+            let src = nodes[(round % 6) as usize];
+            let dst = nodes[((round + 1 + round / 6 % 5) % 6) as usize];
+            net.send(src, dst, vec![1u8; 8]);
+        }
+        net.run_to_idle();
+        assert!(net.ready.len() <= net.node_count());
+        net.take_ready(&mut ready);
+        assert_eq!(ready, nodes, "every node, once, in order");
     }
 
     /// Compile-time regression: a whole simulated network — virtual

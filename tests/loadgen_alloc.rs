@@ -7,7 +7,8 @@
 //! strictly lower. This test pins that with a counting global allocator:
 //! the whole binary runs under an allocator that counts every `alloc`
 //! call, and the streaming run must allocate measurably less than the
-//! retained reference run on identical work.
+//! retained reference run on identical work. Sharded replay is held to
+//! one allocation per packet sent plus a constant per shard.
 //!
 //! One `#[test]` only: a `#[global_allocator]` is process-wide state, and
 //! Rust runs tests in one process — a single test keeps the counting
@@ -43,6 +44,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// What a shard may allocate besides its packets: its engine (network,
+/// session slab, heaps, metrics), its scheduling aggregates and its
+/// thread.
+const PER_SHARD_ALLOCS: u64 = 48;
 
 fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -111,7 +117,7 @@ fn streaming_engine_allocates_less_than_reference_per_message() {
     // The reference path allocates a fresh framing Vec per message on top
     // of the shared per-message Bytes copy; the streaming path reuses the
     // slot scratch but pays a small bounded bookkeeping overhead (slab
-    // growth, BTreeMap index nodes, heap amortisation). Require the gap
+    // growth, event-heap amortisation). Require the gap
     // to stay within that slack of one-allocation-per-message.
     assert!(
         ref_allocs > stream_allocs + (messages * 3) / 4,
@@ -120,10 +126,27 @@ fn streaming_engine_allocates_less_than_reference_per_message() {
     );
 
     // Absolute hot-path bound: one Bytes copy per message plus bounded
-    // bookkeeping (slab/index/heap amortisation) — not the reference
-    // engine's ~2+/message.
+    // bookkeeping (slab/heap amortisation) — not the reference engine's
+    // ~2+/message.
     assert!(
         stream_allocs <= messages * 2,
         "streaming hot path regressed: {stream_allocs} allocs for {messages} messages"
     );
+
+    // Sharded replay: each shard builds one engine and rewinds it per
+    // session, accumulating into one set of metrics, so a session costs
+    // exactly its packets' `Bytes` copies. Everything else — the shard's
+    // engine, its metrics, its thread — is a constant per shard.
+    for shards in [1u32, 2, 4] {
+        let (report, allocs) = allocs_during(|| runner.run_sharded("toy", &cal, shards));
+        assert_eq!(report.completed, sessions);
+        assert_eq!(report.net.sent, messages, "clean links: no retransmissions");
+        let budget = report.net.sent + PER_SHARD_ALLOCS * shards as u64;
+        assert!(
+            allocs <= budget,
+            "sharded replay allocates per session beyond its packets: {allocs} allocs for \
+             {} packets on {shards} shard(s) (budget {budget})",
+            report.net.sent
+        );
+    }
 }
