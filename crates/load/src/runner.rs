@@ -2,8 +2,8 @@
 //!
 //! Replays a calibrated per-session operation script ([`Calibration`])
 //! against a simulated server at scale. The engine owns a driver event
-//! heap (arrivals, service completions, retransmission timeouts) and
-//! interleaves it with `teenet-netsim` deliveries via
+//! heap (arrivals, service completions) and a FIFO of retransmission
+//! timeouts, and interleaves both with `teenet-netsim` deliveries via
 //! [`Network::next_event_at`], so every network leg pays real latency,
 //! bandwidth serialisation, FIFO queueing and (optionally) faults, while
 //! service time derives from the calibrated SGX cycle cost at a fixed
@@ -11,9 +11,12 @@
 //! assignment, event ordering — is deterministic in the seed.
 //!
 //! Request/response integrity: each datagram carries a checksummed header
-//! `(session, op, attempt)`. Corrupted datagrams fail the check and are
-//! discarded at the receiver; the client's retransmission timeout recovers
-//! them, exactly like drops. The server keeps an idempotent-response
+//! `(session, op, attempt)`, zero-padded to the op's calibrated wire size.
+//! The streaming engine sends only the header and leaves the padding to
+//! [`Network::send_padded`], which never materialises it; the retained
+//! reference engine sends the full frame. Corrupted datagrams fail the
+//! check and are discarded at the receiver; the client's retransmission
+//! timeout recovers them, exactly like drops. The server keeps an idempotent-response
 //! cache per session so a retransmitted request whose response was lost
 //! does not pay the service cost twice.
 //!
@@ -21,8 +24,8 @@
 //!
 //! The default engine is *streaming*: sessions are generated lazily from
 //! the arrival process, live in a recycled slab of slots sized by the
-//! number of *concurrently live* sessions, and are retired (slot and
-//! scratch buffer returned to the pool) the moment they complete or fail.
+//! number of *concurrently live* sessions, and are retired (slot
+//! returned to the pool) the moment they complete or fail.
 //! Open-loop arrivals are scheduled one at a time — only the next pending
 //! arrival ever sits in the heap — so driving N sessions costs
 //! O(live sessions) memory, not O(N). A live session is addressed by a
@@ -48,9 +51,24 @@
 //! arrival times strictly increase, arrival `i+1` is always scheduled
 //! (while handling arrival `i`) before any event ordered after it can
 //! fire, so lazy insertion never reorders the heap.
+//!
+//! ## The timeout FIFO
+//!
+//! Every request arms a retransmission timeout of the same length
+//! (`Engine::timeout`) at `net.now()`, which never goes back, with the
+//! next seq; timeouts are therefore armed in `(at, seq)` order, and a
+//! FIFO beside the heap holds them sorted. The driver takes whichever of
+//! the two heads is smaller by `(at, seq)`, so events fire exactly in the
+//! order one heap holding both would give. Before comparing heads, stale
+//! timeouts are dropped from the FIFO front: a timeout is stale once its
+//! session is retired or finished, or has moved past the `(op, attempt)`
+//! it was armed for. Staleness is permanent — `(op, attempt)` only grows —
+//! and dropping one early is unobservable: firing it would only have
+//! advanced the network clock to a time no delivery is due at (the
+//! network wins ties), which the next event's own `run_until` does anyway.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 
 use bytes::Bytes;
@@ -204,14 +222,13 @@ impl fmt::Display for LoadError {
 
 impl std::error::Error for LoadError {}
 
-/// Driver-side events, interleaved with network deliveries. `session` is
-/// the global session index; `key` is the session's [`SessionTable`]
-/// key, the value its wire headers carry.
+/// Driver-side heap events, interleaved with network deliveries and
+/// timeouts. `session` is the global session index; `key` is the
+/// session's [`SessionTable`] key, the value its wire headers carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     Arrive { session: u64 },
     ServiceDone { key: u64, op: u32 },
-    Timeout { key: u64, op: u32, attempt: u32 },
 }
 
 #[derive(PartialEq, Eq)]
@@ -231,6 +248,17 @@ impl PartialOrd for DriverEvent {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// A retransmission timeout for attempt `attempt` of op `op` of session
+/// `key`, queued in the engine's timeout FIFO (see the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Timeout {
+    at: SimTime,
+    seq: u64,
+    key: u64,
+    op: u32,
+    attempt: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -264,23 +292,22 @@ pub(crate) fn fnv1a(data: &[u8]) -> u64 {
     h
 }
 
-/// Frames `(key, op, attempt)` plus zero padding to `len` into `buf`,
-/// reusing its capacity. The wire format of [`encode`], allocation-free
-/// once the buffer has grown to the scenario's largest frame.
-fn encode_into(buf: &mut Vec<u8>, key: u64, op: u32, attempt: u32, len: usize) {
-    buf.clear();
-    buf.resize(len.max(HEADER_LEN), 0);
-    buf[0..8].copy_from_slice(&key.to_le_bytes());
-    buf[8..12].copy_from_slice(&op.to_le_bytes());
-    buf[12..16].copy_from_slice(&attempt.to_le_bytes());
-    let sum = fnv1a(&buf[0..16]);
-    buf[16..24].copy_from_slice(&sum.to_le_bytes());
+/// The checksummed wire header of `(key, op, attempt)`.
+fn header(key: u64, op: u32, attempt: u32) -> [u8; HEADER_LEN] {
+    let mut h = [0; HEADER_LEN];
+    h[0..8].copy_from_slice(&key.to_le_bytes());
+    h[8..12].copy_from_slice(&op.to_le_bytes());
+    h[12..16].copy_from_slice(&attempt.to_le_bytes());
+    let sum = fnv1a(&h[0..16]);
+    h[16..24].copy_from_slice(&sum.to_le_bytes());
+    h
 }
 
-/// Frames into a fresh allocation — the retained reference engine's path.
+/// The full frame: the header zero-padded to `len` bytes (never shorter
+/// than the header) — the retained reference engine's path.
 fn encode(key: u64, op: u32, attempt: u32, len: usize) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_into(&mut buf, key, op, attempt, len);
+    let mut buf = header(key, op, attempt).to_vec();
+    buf.resize(len.max(HEADER_LEN), 0);
     buf
 }
 
@@ -310,24 +337,21 @@ pub struct EngineStats {
     /// count.
     pub peak_live_sessions: u64,
     /// Most driver events (arrivals, service completions, timeouts) ever
-    /// queued at once. Streaming open loop holds a single pending arrival
-    /// plus O(live) timeouts; the retained path heap-loads every arrival
-    /// at t=0.
+    /// queued at once, heap and timeout FIFO together. Streaming open
+    /// loop holds a single pending arrival plus O(live) timeouts; the
+    /// retained path heap-loads every arrival at t=0.
     pub peak_heap_events: u64,
     /// Distinct session slots ever allocated (streaming only): how well
     /// retirement recycles. Retained reference reports 0.
     pub slots_allocated: u64,
 }
 
-/// One slab slot: the live session it holds, the scratch buffer every
-/// frame that session sends is built in, and the generation that tells
-/// its occupants apart. Recycled (with the scratch capacity) when a later
-/// session reuses it.
+/// One slab slot: the live session it holds and the generation that
+/// tells its occupants apart. Recycled when a later session reuses it.
 struct Slot {
     /// Bumped on every retirement, so handles to earlier occupants miss.
     generation: u32,
     sess: Session,
-    scratch: Vec<u8>,
 }
 
 /// The streaming table's key for `slot` in `generation`: the slot index
@@ -358,13 +382,7 @@ enum SessionTable {
 impl SessionTable {
     /// Inserts newly arrived session `id`; returns its key and the live
     /// count after.
-    fn insert(
-        &mut self,
-        id: u64,
-        sess: Session,
-        frame_cap: usize,
-        allocated: &mut u64,
-    ) -> (u64, u64) {
+    fn insert(&mut self, id: u64, sess: Session, allocated: &mut u64) -> (u64, u64) {
         match self {
             SessionTable::Retained(v) => {
                 debug_assert_eq!(v.len() as u64, id);
@@ -382,7 +400,6 @@ impl SessionTable {
                         slots.push(Slot {
                             generation: 0,
                             sess,
-                            scratch: Vec::with_capacity(frame_cap),
                         });
                         (slots.len() - 1) as u32
                     }
@@ -417,30 +434,30 @@ impl SessionTable {
         }
     }
 
-    /// Frames a message for `key` as wire bytes. Streaming: built in the
-    /// session's pooled scratch buffer (no per-message `Vec`). Retained:
-    /// a fresh allocation, exactly as the pre-streaming engine framed.
-    fn frame(&mut self, key: u64, op: u32, attempt: u32, len: usize) -> Option<Bytes> {
+    /// Frames a `len`-byte message for `key`: the bytes to send and the
+    /// zero padding [`Network::send_padded`] appends on the wire.
+    /// Streaming: the header alone, so no padding is ever allocated.
+    /// Retained: the fully materialised frame with no padding, so
+    /// streaming ≡ reference also checks the padding against real zeros.
+    fn frame(&self, key: u64, op: u32, attempt: u32, len: usize) -> Option<(Bytes, usize)> {
         match self {
-            SessionTable::Retained(_) => Some(Bytes::from(encode(key, op, attempt, len))),
+            SessionTable::Retained(_) => Some((Bytes::from(encode(key, op, attempt, len)), 0)),
             SessionTable::Slab { slots, .. } => {
-                let slot = Self::slot(slots, key)?;
-                let scratch = &mut slots[slot].scratch;
-                encode_into(scratch, key, op, attempt, len);
-                Some(Bytes::copy_from_slice(scratch))
+                Self::slot(slots, key)?;
+                let padding = len.saturating_sub(HEADER_LEN);
+                Some((Bytes::from(header(key, op, attempt)), padding))
             }
         }
     }
 
-    /// Returns a finished session's slot (and scratch capacity) to the
-    /// pool and bumps its generation: events and packets still carrying
-    /// the old handle miss from now on. No-op for the retained table.
+    /// Returns a finished session's slot to the pool and bumps its
+    /// generation: events and packets still carrying the old handle miss
+    /// from now on. No-op for the retained table.
     fn retire(&mut self, key: u64) {
         if let SessionTable::Slab { slots, free, live } = self {
             if let Some(i) = Self::slot(slots, key) {
                 let s = &mut slots[i];
                 s.generation = s.generation.wrapping_add(1);
-                s.scratch.clear();
                 free.push(i as u32);
                 *live -= 1;
             }
@@ -453,7 +470,6 @@ impl SessionTable {
             free.clear();
             for (i, s) in slots.iter_mut().enumerate() {
                 s.generation = s.generation.wrapping_add(1);
-                s.scratch.clear();
                 free.push(i as u32);
             }
             *live = 0;
@@ -509,14 +525,14 @@ pub(crate) struct Engine<'a> {
     /// Buffer the network's ready list is taken into each step.
     ready: Vec<NodeId>,
     heap: BinaryHeap<Reverse<DriverEvent>>,
+    /// Armed retransmission timeouts in `(at, seq)` order (see the module
+    /// docs); never in `heap`.
+    timeouts: VecDeque<Timeout>,
     next_seq: u64,
     table: SessionTable,
     /// Streaming open loop schedules arrivals one ahead; every other
     /// combination heap-loads what [`ArrivalProcess`] hands out up front.
     lazy_arrivals: bool,
-    /// Pre-sized capacity for per-slot scratch buffers (largest frame of
-    /// the calibrated script).
-    frame_cap: usize,
     arrivals: ArrivalProcess,
     workers: WorkerPool,
     timeout: SimDuration,
@@ -688,13 +704,13 @@ impl<'a> Engine<'a> {
             client_nodes,
             ready: Vec::new(),
             heap: BinaryHeap::new(),
+            timeouts: VecDeque::new(),
             // Open-loop arrival i is pinned to seq i in both engine
             // paths; the shared counter for everything else therefore
             // starts past the arrival block.
             next_seq: if lazy_arrivals { cfg.sessions } else { 0 },
             table,
             lazy_arrivals,
-            frame_cap: cal.max_frame_bytes(),
             arrivals: arrival_process(cfg, cal, model, cfg.seed),
             workers: WorkerPool::new(cfg.workers),
             timeout,
@@ -707,15 +723,72 @@ impl<'a> Engine<'a> {
         self.stats
     }
 
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Updates the peak of driver events queued at once.
+    fn note_queued(&mut self) {
+        let queued = (self.heap.len() + self.timeouts.len()) as u64;
+        self.stats.peak_heap_events = self.stats.peak_heap_events.max(queued);
+    }
+
     fn push_raw(&mut self, at: SimTime, seq: u64, ev: Ev) {
         self.heap.push(Reverse(DriverEvent { at, seq, ev }));
-        self.stats.peak_heap_events = self.stats.peak_heap_events.max(self.heap.len() as u64);
+        self.note_queued();
     }
 
     fn push(&mut self, at: SimTime, ev: Ev) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         self.push_raw(at, seq, ev);
+    }
+
+    /// Arms the retransmission timeout of `(key, op, attempt)`, one
+    /// timeout length from now.
+    fn arm_timeout(&mut self, key: u64, op: u32, attempt: u32) {
+        let at = self.net.now() + self.timeout;
+        let seq = self.take_seq();
+        debug_assert!(
+            self.timeouts
+                .back()
+                .is_none_or(|t| (t.at, t.seq) < (at, seq)),
+            "timeouts are armed in (at, seq) order"
+        );
+        self.timeouts.push_back(Timeout {
+            at,
+            seq,
+            key,
+            op,
+            attempt,
+        });
+        self.note_queued();
+    }
+
+    /// Whether `t` can still fire: its session is live and unfinished and
+    /// still on the `(op, attempt)` the timeout was armed for.
+    fn is_live(&self, t: &Timeout) -> bool {
+        self.table
+            .get(t.key)
+            .is_some_and(|s| !s.done && !s.failed && s.op == t.op && s.attempt == t.attempt)
+    }
+
+    /// The next driver event's time, and whether it is the timeout FIFO's
+    /// front (rather than the heap's top), after dropping stale timeouts
+    /// from the front.
+    fn next_driver_event(&mut self) -> Option<(SimTime, bool)> {
+        while self.timeouts.front().is_some_and(|t| !self.is_live(t)) {
+            self.timeouts.pop_front();
+        }
+        let timeout = self.timeouts.front().map(|t| (t.at, t.seq));
+        let event = self.heap.peek().map(|Reverse(e)| (e.at, e.seq));
+        match (timeout, event) {
+            (Some(t), Some(e)) if t < e => Some((t.0, true)),
+            (Some(t), None) => Some((t.0, true)),
+            (_, Some(e)) => Some((e.0, false)),
+            (None, None) => None,
+        }
     }
 
     /// Schedules the next open-loop arrival (streaming path): exactly one
@@ -745,16 +818,19 @@ impl<'a> Engine<'a> {
     /// next network delivery or the next driver event. Network wins ties
     /// so a response arriving at time t beats a timeout firing at t.
     pub(crate) fn drain(&mut self) {
-        loop {
-            let drv = self.heap.peek().map(|Reverse(e)| e.at);
-            let net = self.net.next_event_at();
-            match (drv, net) {
-                (None, None) => break,
-                (Some(d), Some(n)) if n <= d => self.step_network(n),
-                (None, Some(n)) => self.step_network(n),
-                (Some(d), _) => self.step_driver(d),
-            }
+        while self.step() {}
+    }
+
+    /// Handles the next network delivery or driver event; `false` once
+    /// neither is left.
+    fn step(&mut self) -> bool {
+        match (self.next_driver_event(), self.net.next_event_at()) {
+            (None, None) => return false,
+            (Some((d, _)), Some(n)) if n <= d => self.step_network(n),
+            (None, Some(n)) => self.step_network(n),
+            (Some((d, timeout)), _) => self.step_driver(d, timeout),
         }
+        true
     }
 
     /// Delivers everything due by `until`, then handles each packet: the
@@ -779,15 +855,21 @@ impl<'a> Engine<'a> {
         self.ready = ready;
     }
 
-    fn step_driver(&mut self, at: SimTime) {
+    /// Fires the driver event due at `at`: the timeout FIFO's front if
+    /// `timeout`, else the heap's top.
+    fn step_driver(&mut self, at: SimTime, timeout: bool) {
         self.net.run_until(at);
+        if timeout {
+            let t = self.timeouts.pop_front().expect("the front was peeked");
+            self.on_timeout(at, t);
+            return;
+        }
         let Some(Reverse(event)) = self.heap.pop() else {
             return;
         };
         match event.ev {
             Ev::Arrive { session } => self.on_arrive(at, session),
             Ev::ServiceDone { key, op } => self.on_service_done(key, op),
-            Ev::Timeout { key, op, attempt } => self.on_timeout(at, key, op, attempt),
         }
     }
 
@@ -808,7 +890,6 @@ impl<'a> Engine<'a> {
                 done: false,
                 failed: false,
             },
-            self.frame_cap,
             &mut self.stats.slots_allocated,
         );
         self.stats.peak_live_sessions = self.stats.peak_live_sessions.max(live);
@@ -826,18 +907,13 @@ impl<'a> Engine<'a> {
             self.metrics.steady_client.fold(op.client);
         }
         let request_bytes = op.request_bytes;
-        let Some(payload) = self.table.frame(key, sess.op, sess.attempt, request_bytes) else {
+        let frame = self.table.frame(key, sess.op, sess.attempt, request_bytes);
+        let Some((payload, padding)) = frame else {
             return;
         };
-        self.net.send(sess.client, self.server, payload);
-        self.push(
-            self.net.now() + self.timeout,
-            Ev::Timeout {
-                key,
-                op: sess.op,
-                attempt: sess.attempt,
-            },
-        );
+        self.net
+            .send_padded(sess.client, self.server, payload, padding);
+        self.arm_timeout(key, sess.op, sess.attempt);
     }
 
     fn on_request(&mut self, at: SimTime, key: u64, op: u32, _attempt: u32) {
@@ -885,10 +961,10 @@ impl<'a> Engine<'a> {
             return;
         };
         let response_bytes = self.cal.ops[op as usize].response_bytes;
-        let Some(payload) = self.table.frame(key, op, 0, response_bytes) else {
+        let Some((payload, padding)) = self.table.frame(key, op, 0, response_bytes) else {
             return;
         };
-        self.net.send(self.server, client, payload);
+        self.net.send_padded(self.server, client, payload, padding);
     }
 
     fn on_response(&mut self, at: SimTime, key: u64, op: u32) {
@@ -914,14 +990,15 @@ impl<'a> Engine<'a> {
         self.table.retire(key);
     }
 
-    fn on_timeout(&mut self, at: SimTime, key: u64, op: u32, attempt: u32) {
+    /// Retransmits, or abandons the session after `max_retries`. `t` is
+    /// live: stale timeouts were dropped before it reached the front.
+    fn on_timeout(&mut self, at: SimTime, t: Timeout) {
         let max_retries = self.cfg.max_retries;
-        let Some(sess) = self.table.get_mut(key) else {
-            return; // timeout outlived its (retired) session
-        };
-        if sess.done || sess.failed || sess.op != op || sess.attempt != attempt {
-            return; // op already progressed; timeout is stale
-        }
+        let (key, attempt) = (t.key, t.attempt);
+        let sess = self
+            .table
+            .get_mut(key)
+            .expect("stale timeouts are dropped before they fire");
         if attempt >= max_retries {
             sess.failed = true;
             self.metrics.failed += 1;
@@ -963,8 +1040,8 @@ impl<'a> Engine<'a> {
     /// Replays one session of the sharded model on this engine, rewound
     /// to the state [`Engine::new`] would produce for its config with
     /// the seed replaced by `seed`. Every allocation is reused: the
-    /// network topology (and its cleared inboxes), the session slab with
-    /// its scratch capacity, the event and worker heaps, and the metrics,
+    /// network topology (and its cleared inboxes), the session slab, the
+    /// event and worker heaps, the timeout FIFO, and the metrics,
     /// which accumulate across sessions instead of being rebuilt and
     /// merged per session. The session's network totals are folded in
     /// before it returns; [`Engine::into_accumulated`] hands out the sum.
@@ -976,6 +1053,7 @@ impl<'a> Engine<'a> {
     pub(crate) fn replay_session(&mut self, seed: u64) -> u64 {
         self.net.reset(seed ^ NETSIM_SALT);
         self.heap.clear();
+        self.timeouts.clear();
         self.next_seq = if self.lazy_arrivals {
             self.cfg.sessions
         } else {
@@ -1307,18 +1385,104 @@ mod tests {
     }
 
     #[test]
-    fn framing_round_trips_through_scratch_buffer() {
-        let mut scratch = Vec::new();
-        encode_into(&mut scratch, 42, 3, 1, 100);
-        assert_eq!(scratch.len(), 100);
-        assert_eq!(decode(&scratch), Some((42, 3, 1)));
-        assert_eq!(scratch, encode(42, 3, 1, 100), "pooled == allocating path");
-        // Reuse with a shorter frame: stale bytes must not leak in.
-        let cap = scratch.capacity();
-        encode_into(&mut scratch, 7, 0, 0, 10);
-        assert_eq!(scratch.len(), HEADER_LEN);
-        assert_eq!(scratch, encode(7, 0, 0, 10));
-        assert_eq!(scratch.capacity(), cap, "capacity is retained");
+    fn padded_frame_is_the_header_plus_zeros() {
+        let frame = encode(42, 3, 1, 100);
+        assert_eq!(frame.len(), 100);
+        assert_eq!(decode(&frame), Some((42, 3, 1)));
+        assert_eq!(frame[..HEADER_LEN], header(42, 3, 1));
+        assert!(frame[HEADER_LEN..].iter().all(|&b| b == 0));
+        // A frame shorter than the header is the header alone.
+        assert_eq!(encode(7, 0, 0, 10), header(7, 0, 0));
+        assert_eq!(decode(&header(7, 0, 0)), Some((7, 0, 0)));
+    }
+
+    /// Both tables frame the same wire bytes: the streaming slab sends the
+    /// header and leaves the zeros to the network, the retained table
+    /// sends them materialised.
+    #[test]
+    fn slab_and_retained_frames_agree_on_the_wire() {
+        let mut slab = SessionTable::Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        };
+        let (key, _) = slab.insert(0, fresh_session(), &mut 0);
+        let retained = SessionTable::Retained(vec![fresh_session()]);
+        for len in [0, HEADER_LEN, 100, 1_058] {
+            let (header, padding) = slab.frame(key, 2, 1, len).expect("live");
+            assert_eq!(header.len(), HEADER_LEN, "no padding allocated");
+            let (full, none) = retained.frame(key, 2, 1, len).expect("live");
+            assert_eq!(none, 0);
+            let mut wire = header.to_vec();
+            wire.resize(HEADER_LEN + padding, 0);
+            assert_eq!(wire, full.to_vec(), "len {len}");
+        }
+    }
+
+    /// The driver fires whichever head is smaller by `(at, seq)`: at equal
+    /// times the event armed first wins, whichever queue holds it (heavy
+    /// closed-loop runs do produce such ties). A stale front is dropped.
+    #[test]
+    fn driver_merges_heap_and_timeouts_by_time_then_seq() {
+        let cfg = LoadConfig::new(1, 1, LoadMode::Closed { concurrency: 1 });
+        let cal = toy_calibration();
+        let model = cal.cost_model();
+        let mut engine = Engine::new(&cfg, &cal, &model);
+        let (key, _) = engine.table.insert(0, fresh_session(), &mut 0);
+        let at = SimTime(500);
+        engine.push_raw(at, 7, Ev::ServiceDone { key, op: 0 });
+        engine.timeouts.push_back(Timeout {
+            at,
+            seq: 3,
+            key,
+            op: 0,
+            attempt: 0,
+        });
+        assert_eq!(engine.next_driver_event(), Some((at, true)));
+        engine.timeouts[0].seq = 9;
+        assert_eq!(engine.next_driver_event(), Some((at, false)));
+        engine.timeouts[0].at = SimTime(499);
+        assert_eq!(engine.next_driver_event(), Some((SimTime(499), true)));
+        engine.table.get_mut(key).expect("live").attempt = 1;
+        assert_eq!(engine.next_driver_event(), Some((at, false)));
+        assert!(engine.timeouts.is_empty(), "the stale timeout was dropped");
+    }
+
+    /// On a lossy closed-loop run that retransmits and abandons sessions,
+    /// no stale timeout is ever at the FIFO front when heads are compared,
+    /// and `peak_heap_events` counts the queued timeouts beside the heap.
+    #[test]
+    fn stale_timeouts_never_reach_the_front() {
+        let concurrency = 8u32;
+        let mut cfg = LoadConfig::new(300, 4, LoadMode::Closed { concurrency });
+        cfg.max_retries = 1;
+        cfg.faults = FaultConfig {
+            drop_chance: 0.3,
+            duplicate_chance: 0.1,
+            ..Default::default()
+        };
+        let cal = toy_calibration();
+        let model = cal.cost_model();
+        let mut engine = Engine::new(&cfg, &cal, &model);
+        engine.prime();
+        let (mut peak_heap, mut stale_seen) = (0, false);
+        loop {
+            peak_heap = peak_heap.max(engine.heap.len());
+            stale_seen |= engine.timeouts.iter().any(|t| !engine.is_live(t));
+            engine.next_driver_event();
+            if let Some(front) = engine.timeouts.front() {
+                assert!(engine.is_live(front), "a stale timeout reached the front");
+            }
+            if !engine.step() {
+                break;
+            }
+        }
+        let stats = engine.stats();
+        let report = engine.into_report("toy", &cfg);
+        assert_eq!(report.completed + report.failed, 300);
+        assert!(report.failed > 0 && report.retries > 0, "faults fired");
+        assert!(stale_seen, "the run left timeouts stale behind the front");
+        assert!(stats.peak_heap_events as usize > peak_heap, "{stats:?}");
     }
 
     #[test]
@@ -1518,13 +1682,13 @@ mod tests {
             live: 0,
         };
         let mut allocated = 0;
-        let (old, live) = table.insert(0, fresh_session(), 64, &mut allocated);
+        let (old, live) = table.insert(0, fresh_session(), &mut allocated);
         assert_eq!(live, 1);
         assert!(table.get(old).is_some());
         table.retire(old);
         assert!(table.get(old).is_none(), "retired");
 
-        let (new, live) = table.insert(1, fresh_session(), 64, &mut allocated);
+        let (new, live) = table.insert(1, fresh_session(), &mut allocated);
         assert_eq!((live, allocated), (1, 1), "the slot was reused");
         assert_eq!(new as u32, old as u32, "same slot index");
         assert_ne!(new, old, "different generation");
@@ -1536,7 +1700,7 @@ mod tests {
             table.get(new).is_some(),
             "a stale retire leaves the occupant"
         );
-        let frame = table.frame(new, 0, 0, 32).expect("live handle frames");
+        let (frame, _) = table.frame(new, 0, 0, 32).expect("live handle frames");
         assert_eq!(
             decode(&frame),
             Some((new, 0, 0)),

@@ -137,7 +137,7 @@ fn run_shard(
     };
     let mut last_completion = 0u64;
     // One engine per shard, rewound per session: the private two-node
-    // network, the session slab (and its scratch buffer), the event heap
+    // network, the session slab, the event heap, the timeout FIFO
     // and the metrics are allocated once and reused across the whole
     // range, so a session costs no allocation beyond its packets. Only
     // the derived seed changes, so `replay_session` takes it as a

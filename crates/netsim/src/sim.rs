@@ -5,9 +5,13 @@
 //! inputs replay identically. Nodes exchange datagrams over configured
 //! links with latency, bandwidth-derived serialisation delay, and optional
 //! fault injection.
+//!
+//! Links live in one `Vec`; each node keeps its outgoing links as
+//! `(destination, link index)` sorted by destination, so a send finds its
+//! link by binary search and a delivery carries the index it was sent on.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 use teenet_crypto::SecureRng;
@@ -42,7 +46,8 @@ impl Default for LinkConfig {
 /// simulation runs (drive a workload, then assert on what the links did).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
-    /// Datagrams handed to the link by [`Network::send`].
+    /// Datagrams handed to the link by [`Network::send`] or
+    /// [`Network::send_padded`].
     pub sent: u64,
     /// Datagrams placed in the destination inbox (includes corrupted and
     /// duplicated copies).
@@ -70,6 +75,8 @@ impl LinkStats {
 }
 
 struct Link {
+    src: NodeId,
+    dst: NodeId,
     config: LinkConfig,
     injector: Option<FaultInjector>,
     /// When the link is next free to begin serialising (FIFO queueing).
@@ -85,12 +92,17 @@ struct Node {
     max_depth: usize,
     /// On the network's ready list (see [`Network::take_ready`]).
     ready: bool,
+    /// Outgoing links as `(destination, index into Network::links)`,
+    /// sorted by destination.
+    links: Vec<(NodeId, u32)>,
 }
 
 #[derive(PartialEq, Eq)]
 struct Delivery {
     at: SimTime,
     seq: u64,
+    /// Index of the link the packet was sent on.
+    link: u32,
     packet: Packet,
     corrupted: bool,
     duplicated: bool,
@@ -112,7 +124,7 @@ impl PartialOrd for Delivery {
 pub struct Network {
     now: SimTime,
     nodes: Vec<Node>,
-    links: HashMap<(NodeId, NodeId), Link>,
+    links: Vec<Link>,
     queue: BinaryHeap<Reverse<Delivery>>,
     next_packet_id: u64,
     next_seq: u64,
@@ -134,7 +146,7 @@ impl Network {
         Network {
             now: SimTime::ZERO,
             nodes: Vec::new(),
-            links: HashMap::new(),
+            links: Vec::new(),
             queue: BinaryHeap::new(),
             next_packet_id: 0,
             next_seq: 0,
@@ -169,7 +181,7 @@ impl Network {
     ///
     /// Determinism: injector RNGs are forked per-link from a label of the
     /// link's endpoints, and [`SecureRng::fork`] never perturbs the
-    /// parent, so re-forking here (in any map order) reproduces exactly
+    /// parent, so re-forking here (in any link order) reproduces exactly
     /// what [`Network::add_link`] derived at construction. The parent is
     /// derived only if some link has faults to fork.
     pub fn reset(&mut self, seed: u64) {
@@ -186,10 +198,10 @@ impl Network {
             node.max_depth = 0;
             node.ready = false;
         }
-        for (&(src, dst), link) in &mut self.links {
+        for link in &mut self.links {
             link.next_free = SimTime::ZERO;
             link.stats = LinkStats::default();
-            link.injector = injector_for(&link.config, src, dst, &mut self.rng, seed);
+            link.injector = injector_for(&link.config, link.src, link.dst, &mut self.rng, seed);
         }
     }
 
@@ -205,18 +217,38 @@ impl Network {
         self.nodes.len()
     }
 
-    /// Configures the unidirectional link `src → dst`.
+    /// Configures the unidirectional link `src → dst`, replacing (with
+    /// fresh state) any link already configured between them. Panics if
+    /// either endpoint is not a node of this network.
     pub fn add_link(&mut self, src: NodeId, dst: NodeId, config: LinkConfig) {
-        let injector = injector_for(&config, src, dst, &mut self.rng, self.seed);
-        self.links.insert(
-            (src, dst),
-            Link {
-                config,
-                injector,
-                next_free: SimTime::ZERO,
-                stats: LinkStats::default(),
-            },
+        let nodes = self.nodes.len();
+        assert!(
+            (src.0 as usize) < nodes && (dst.0 as usize) < nodes,
+            "link {src} -> {dst} names a node outside 0..{nodes}"
         );
+        let link = Link {
+            src,
+            dst,
+            injector: injector_for(&config, src, dst, &mut self.rng, self.seed),
+            config,
+            next_free: SimTime::ZERO,
+            stats: LinkStats::default(),
+        };
+        let out = &mut self.nodes[src.0 as usize].links;
+        match out.binary_search_by_key(&dst, |&(d, _)| d) {
+            Ok(i) => self.links[out[i].1 as usize] = link,
+            Err(i) => {
+                out.insert(i, (dst, self.links.len() as u32));
+                self.links.push(link);
+            }
+        }
+    }
+
+    /// Index of the link `src → dst` in `self.links`, if configured.
+    fn link_index(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        let out = &self.nodes.get(src.0 as usize)?.links;
+        let i = out.binary_search_by_key(&dst, |&(d, _)| d).ok()?;
+        Some(out[i].1 as usize)
     }
 
     /// Configures a symmetric (bidirectional) link.
@@ -245,46 +277,53 @@ impl Network {
     /// Sends a datagram; returns the packet id, or `None` if no link exists
     /// (the datagram is dropped, mirroring a missing route).
     pub fn send(&mut self, src: NodeId, dst: NodeId, payload: impl Into<Bytes>) -> Option<u64> {
-        let payload: Bytes = payload.into();
-        let id = self.next_packet_id;
-        self.next_packet_id += 1;
-        let now = self.now;
+        self.send_padded(src, dst, payload, 0)
+    }
 
-        let Some(link) = self.links.get_mut(&(src, dst)) else {
-            self.trace.record(
-                TraceRecord {
-                    time: now,
-                    event: TraceEvent::Dropped,
-                    packet_id: id,
-                    src,
-                    dst,
-                    len: payload.len(),
-                },
-                None,
-            );
-            return None;
+    /// Sends `payload` followed by `padding` zero bytes, without ever
+    /// materialising the zeros. The packet is indistinguishable from
+    /// [`Network::send`] of the full frame: its [`Packet::len`] counts the
+    /// padding, so serialisation delay, trace lengths and fault outcomes
+    /// are the same, and a corrupting fault first builds the full frame
+    /// (one allocation of the wire length), so the flipped byte may land
+    /// in the padding exactly as it would in real zeros.
+    pub fn send_padded(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        payload: impl Into<Bytes>,
+        padding: usize,
+    ) -> Option<u64> {
+        let mut packet = Packet {
+            id: self.next_packet_id,
+            src,
+            dst,
+            payload: payload.into(),
+            padding,
+        };
+        self.next_packet_id += 1;
+        let (id, len, now) = (packet.id, packet.len(), self.now);
+        let record = |event| TraceRecord {
+            time: now,
+            event,
+            packet_id: id,
+            src,
+            dst,
+            len,
         };
 
-        self.trace.record(
-            TraceRecord {
-                time: now,
-                event: TraceEvent::Sent,
-                packet_id: id,
-                src,
-                dst,
-                len: payload.len(),
-            },
-            None,
-        );
-
+        let Some(index) = self.link_index(src, dst) else {
+            self.trace.record(record(TraceEvent::Dropped), None);
+            return None;
+        };
+        self.trace.record(record(TraceEvent::Sent), None);
+        let link = &mut self.links[index];
         link.stats.sent += 1;
 
         // FIFO serialisation: transmission begins when the link is free.
         let start = link.next_free.max(now);
         let serialisation = match link.config.bandwidth_bps {
-            Some(bps) if bps > 0 => {
-                SimDuration((payload.len() as u64).saturating_mul(1_000_000_000) / bps)
-            }
+            Some(bps) if bps > 0 => SimDuration((len as u64).saturating_mul(1_000_000_000) / bps),
             _ => SimDuration::ZERO,
         };
         link.next_free = start + serialisation;
@@ -296,22 +335,18 @@ impl Network {
             match injector.decide(now) {
                 FaultDecision::Drop => {
                     link.stats.dropped += 1;
-                    self.trace.record(
-                        TraceRecord {
-                            time: now,
-                            event: TraceEvent::Dropped,
-                            packet_id: id,
-                            src,
-                            dst,
-                            len: payload.len(),
-                        },
-                        None,
-                    );
+                    self.trace.record(record(TraceEvent::Dropped), None);
                     return Some(id);
                 }
                 FaultDecision::Corrupt => {
                     corrupted = true;
                     link.stats.corrupted += 1;
+                    // Only a corrupting fault pays for a mutable copy;
+                    // every other packet keeps the caller's buffer.
+                    let mut frame = packet.wire_bytes();
+                    injector.corrupt(&mut frame);
+                    packet.payload = Bytes::from(frame);
+                    packet.padding = 0;
                 }
                 FaultDecision::Duplicate => {
                     duplicated = true;
@@ -325,39 +360,25 @@ impl Network {
             }
         }
 
-        // Reuse the caller's buffer untouched (a cheap refcount clone for
-        // an already-shared `Bytes`); only a corrupting fault pays for a
-        // mutable copy.
-        let payload = if corrupted {
-            let mut bytes = payload.to_vec();
-            if let Some(injector) = &mut link.injector {
-                injector.corrupt(&mut bytes);
-            }
-            Bytes::from(bytes)
-        } else {
-            payload
-        };
-        let packet = Packet {
-            id,
-            src,
-            dst,
-            payload,
-        };
+        let link = index as u32;
+        let copy = duplicated.then(|| packet.clone());
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push(Reverse(Delivery {
             at: arrival,
             seq,
-            packet: packet.clone(),
+            link,
+            packet,
             corrupted,
             duplicated: false,
         }));
-        if duplicated {
+        if let Some(packet) = copy {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.queue.push(Reverse(Delivery {
                 at: arrival + SimDuration::from_micros(1),
                 seq,
+                link,
                 packet,
                 corrupted: false,
                 duplicated: true,
@@ -392,20 +413,14 @@ impl Network {
                 },
                 Some(&delivery.packet),
             );
-            if let Some(link) = self
-                .links
-                .get_mut(&(delivery.packet.src, delivery.packet.dst))
-            {
-                link.stats.delivered += 1;
-            }
+            self.links[delivery.link as usize].stats.delivered += 1;
             let dst = delivery.packet.dst;
-            if let Some(node) = self.nodes.get_mut(dst.0 as usize) {
-                node.inbox.push_back((delivery.at, delivery.packet));
-                node.max_depth = node.max_depth.max(node.inbox.len());
-                if !node.ready {
-                    node.ready = true;
-                    self.ready.push(dst);
-                }
+            let node = &mut self.nodes[dst.0 as usize];
+            node.inbox.push_back((delivery.at, delivery.packet));
+            node.max_depth = node.max_depth.max(node.inbox.len());
+            if !node.ready {
+                node.ready = true;
+                self.ready.push(dst);
             }
         }
         self.now = self.now.max(until);
@@ -473,13 +488,13 @@ impl Network {
 
     /// Delivery/fault counters of the link `src → dst`, if configured.
     pub fn link_stats(&self, src: NodeId, dst: NodeId) -> Option<LinkStats> {
-        self.links.get(&(src, dst)).map(|l| l.stats)
+        self.link_index(src, dst).map(|i| self.links[i].stats)
     }
 
     /// Fault outcomes summed over every link in the network.
     pub fn fault_totals(&self) -> LinkStats {
         let mut total = LinkStats::default();
-        for link in self.links.values() {
+        for link in &self.links {
             total.merge(&link.stats);
         }
         total
@@ -569,6 +584,118 @@ mod tests {
         drive(&mut reused, a2, b2);
         reused.reset(1);
         assert_eq!(drive(&mut reused, a2, b2), baseline);
+    }
+
+    /// `send_padded(p, n)` is indistinguishable from `send(p ‖ 0ⁿ)` on a
+    /// faulty, bandwidth-limited link under one seed: the same delivery
+    /// times and order, link stats, materialised frames, trace records and
+    /// pcap bytes, including corruptions that flip a padding byte.
+    #[test]
+    fn padded_send_matches_the_materialised_frame() {
+        let config = LinkConfig {
+            latency: SimDuration::from_micros(200),
+            bandwidth_bps: Some(10_000_000),
+            faults: FaultConfig {
+                drop_chance: 0.1,
+                corrupt_chance: 0.3,
+                duplicate_chance: 0.1,
+                reorder_chance: 0.1,
+                ..Default::default()
+            },
+        };
+        let header = |i: u32| vec![i as u8 | 1; 1 + (i % 7) as usize];
+        let padding = |i: u32| (i % 5) as usize * 40;
+        let drive = |padded: bool| {
+            let (mut net, a, b) = two_node_net(config.clone());
+            net.enable_pcap();
+            let mut delivered = Vec::new();
+            for i in 0..300u32 {
+                if padded {
+                    net.send_padded(a, b, header(i), padding(i));
+                } else {
+                    let mut frame = header(i);
+                    frame.resize(frame.len() + padding(i), 0);
+                    net.send(a, b, frame);
+                }
+                net.run_until(net.now() + SimDuration::from_micros(50));
+                if i % 3 == 0 {
+                    net.run_to_idle();
+                }
+                while let Some((at, p)) = net.recv_timed(b) {
+                    delivered.push((at, p.id, p.len(), p.wire_bytes()));
+                }
+            }
+            net.run_to_idle();
+            while let Some((at, p)) = net.recv_timed(b) {
+                delivered.push((at, p.id, p.len(), p.wire_bytes()));
+            }
+            (
+                delivered,
+                net.link_stats(a, b).expect("configured"),
+                net.trace.records().to_vec(),
+                net.trace.to_pcap(),
+            )
+        };
+        let padded = drive(true);
+        let plain = drive(false);
+        let stats = padded.1;
+        assert!(
+            stats.dropped > 0 && stats.duplicated > 0 && stats.delayed > 0,
+            "{stats:?}"
+        );
+        let padding_flips = padded
+            .0
+            .iter()
+            .filter(|(_, id, _, frame)| {
+                let i = *id as u32;
+                let h = header(i);
+                frame[..h.len()] == h[..] && frame[h.len()..].iter().any(|&z| z != 0)
+            })
+            .count();
+        assert!(
+            padding_flips > 0,
+            "some corruption must land in the padding"
+        );
+        assert!(padded == plain, "padded and materialised sends diverged");
+    }
+
+    #[test]
+    fn add_link_replaces_an_existing_link() {
+        let (mut net, a, b) = two_node_net(LinkConfig {
+            latency: SimDuration::from_millis(5),
+            ..Default::default()
+        });
+        net.send(a, b, &b"old"[..]);
+        net.add_link(
+            a,
+            b,
+            LinkConfig {
+                latency: SimDuration::from_millis(1),
+                ..Default::default()
+            },
+        );
+        assert_eq!(
+            net.link_stats(a, b),
+            Some(LinkStats::default()),
+            "fresh state"
+        );
+        net.send(a, b, &b"new"[..]);
+        assert_eq!(net.next_event_at(), Some(SimTime(1_000_000)));
+        net.run_to_idle();
+        assert_eq!(net.recv(b).unwrap().payload, Bytes::from_static(b"new"));
+        assert_eq!(net.recv(b).unwrap().payload, Bytes::from_static(b"old"));
+        // The in-flight packet lands on the replacement link's counters.
+        assert_eq!(net.link_stats(a, b).unwrap().delivered, 2);
+        assert_eq!(net.link_stats(a, b).unwrap().sent, 1);
+        assert_eq!(net.link_stats(b, a).unwrap(), LinkStats::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "names a node outside")]
+    fn add_link_rejects_an_unknown_node() {
+        let mut net = Network::new(1);
+        let a = net.add_node();
+        net.add_link(a, NodeId(7), LinkConfig::default());
     }
 
     /// The ready list hands out ascending, duplicate-free node ids — the

@@ -58,16 +58,23 @@ impl SimDuration {
     }
 }
 
+/// Adds two nanosecond counts, panicking on overflow in every build
+/// profile: a wrapped clock would silently reorder events (a deadline
+/// past `u64::MAX` ns, ~584 years, would fire at a tiny time instead).
+fn checked(a: u64, b: u64) -> u64 {
+    a.checked_add(b).expect("virtual clock overflow")
+}
+
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(checked(self.0, rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -81,7 +88,7 @@ impl Sub<SimTime> for SimTime {
 impl Add<SimDuration> for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(checked(self.0, rhs.0))
     }
 }
 
@@ -113,6 +120,34 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(format!("{}", SimTime(1_500_000)), "0.001500s");
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual clock overflow")]
+    fn time_plus_duration_panics_instead_of_wrapping() {
+        let _ = SimTime(u64::MAX - 1) + SimDuration(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual clock overflow")]
+    fn add_assign_panics_instead_of_wrapping() {
+        let mut t = SimTime(1);
+        t += SimDuration(u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual clock overflow")]
+    fn duration_sum_panics_instead_of_wrapping() {
+        let _ = SimDuration(u64::MAX) + SimDuration(1);
+    }
+
+    #[test]
+    fn arithmetic_up_to_the_maximum_is_exact() {
+        assert_eq!(SimTime(u64::MAX - 2) + SimDuration(2), SimTime(u64::MAX));
+        assert_eq!(
+            SimDuration(u64::MAX - 1) + SimDuration(1),
+            SimDuration(u64::MAX)
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub struct TraceRecord {
     pub src: NodeId,
     /// Destination.
     pub dst: NodeId,
-    /// Payload length.
+    /// Wire length, padding included ([`Packet::len`]).
     pub len: usize,
 }
 
@@ -43,7 +43,8 @@ pub struct TraceRecord {
 #[derive(Debug)]
 pub struct Trace {
     records: Vec<TraceRecord>,
-    /// Raw payload snapshots for pcap export (only for delivered packets).
+    /// Wire-frame snapshots, padding zeros included, for pcap export
+    /// (only for delivered packets).
     payloads: Vec<(SimTime, Vec<u8>)>,
     capture_payloads: bool,
     enabled: bool,
@@ -102,7 +103,7 @@ impl Trace {
         }
         if self.capture_payloads && record.event == TraceEvent::Delivered {
             if let Some(p) = packet {
-                self.payloads.push((record.time, p.payload.to_vec()));
+                self.payloads.push((record.time, p.wire_bytes()));
             }
         }
         self.records.push(record);
@@ -167,6 +168,7 @@ mod tests {
             src: NodeId(0),
             dst: NodeId(1),
             payload: Bytes::from_static(b"data"),
+            padding: 0,
         }
     }
 
@@ -208,6 +210,20 @@ mod tests {
         t.set_enabled(true);
         t.record(rec(TraceEvent::Delivered), Some(&pkt()));
         assert_eq!(t.records().len(), 2);
+    }
+
+    #[test]
+    fn pcap_writes_padding_as_zeros() {
+        let mut t = Trace::with_payloads();
+        let padded = Packet {
+            padding: 2,
+            ..pkt()
+        };
+        t.record(rec(TraceEvent::Delivered), Some(&padded));
+        let pcap = t.to_pcap();
+        assert_eq!(pcap.len(), 24 + 16 + 6);
+        assert_eq!(&pcap[32..36], &6u32.to_le_bytes());
+        assert_eq!(&pcap[40..46], b"data\0\0");
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Allocation-count regression gate for the streaming engine's hot path.
 //!
-//! The pre-streaming engine allocated a fresh `Vec<u8>` per framed
-//! message (plus a second copy when `netsim` re-boxed the payload). The
-//! streaming engine frames into a pooled per-slot scratch buffer and
-//! ships one `Bytes` copy, so its allocation count per message is
-//! strictly lower. This test pins that with a counting global allocator:
-//! the whole binary runs under an allocator that counts every `alloc`
-//! call, and the streaming run must allocate measurably less than the
-//! retained reference run on identical work. Sharded replay is held to
-//! one allocation per packet sent plus a constant per shard.
+//! The retained reference engine allocates a fresh `Vec<u8>` per framed
+//! message plus the `Bytes` it is moved into. The streaming engine ships
+//! the 24-byte wire header alone as one `Bytes` and leaves the frame's
+//! zero padding to the network, which never materialises it, so its
+//! allocation count per message is strictly lower and its allocated
+//! bytes do not depend on frame size. This test pins both with a
+//! counting global allocator: the whole binary runs under an allocator
+//! that counts every `alloc` call and the bytes it asks for, the
+//! streaming run must allocate measurably less than the retained
+//! reference run on identical work, and replaying the same script with
+//! 64-byte and 4,096-byte frames must allocate exactly the same bytes.
+//! Sharded replay is held to one allocation per packet sent plus a
+//! constant per shard.
 //!
 //! One `#[test]` only: a `#[global_allocator]` is process-wide state, and
 //! Rust runs tests in one process — a single test keeps the counting
@@ -25,10 +29,12 @@ use teenet_sgx::{TeeBackend, TransitionStats};
 struct CountingAllocator;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -38,6 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -56,11 +63,29 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.load(Ordering::Relaxed) - before)
 }
 
+/// Bytes requested from the allocator (fresh allocations plus the new
+/// size of every reallocation) while `f` runs.
+fn bytes_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOC_BYTES.load(Ordering::Relaxed) - before)
+}
+
 fn c(sgx: u64, normal: u64) -> Counters {
     Counters {
         sgx_instr: sgx,
         normal_instr: normal,
     }
+}
+
+/// [`toy_calibration`] with every request and response `frame` bytes long.
+fn toy_calibration_framed(frame: usize) -> Calibration {
+    let mut cal = toy_calibration();
+    for op in &mut cal.ops {
+        op.request_bytes = frame;
+        op.response_bytes = frame;
+    }
+    cal
 }
 
 /// A synthetic two-op script (no real-enclave calibration, so the counted
@@ -115,8 +140,8 @@ fn streaming_engine_allocates_less_than_reference_per_message() {
     assert_eq!(stream_report.completed, sessions);
 
     // The reference path allocates a fresh framing Vec per message on top
-    // of the shared per-message Bytes copy; the streaming path reuses the
-    // slot scratch but pays a small bounded bookkeeping overhead (slab
+    // of the per-message Bytes; the streaming path sends the header alone
+    // as one Bytes but pays a small bounded bookkeeping overhead (slab
     // growth, event-heap amortisation). Require the gap
     // to stay within that slack of one-allocation-per-message.
     assert!(
@@ -149,4 +174,22 @@ fn streaming_engine_allocates_less_than_reference_per_message() {
             report.net.sent
         );
     }
+
+    // Frame padding is never materialised: with infinite bandwidth the
+    // frame size changes no event, so streaming replay with 4,096-byte
+    // frames must allocate exactly the bytes it does with 64-byte frames.
+    let mut cfg = LoadConfig::new(sessions, 7, LoadMode::Closed { concurrency: 16 });
+    cfg.bandwidth_bps = None;
+    let runner = LoadRunner::new(cfg);
+    let (small, large) = (toy_calibration_framed(64), toy_calibration_framed(4096));
+    runner.run("toy", &small);
+    let (small_report, small_bytes) = bytes_during(|| runner.run("toy", &small));
+    let (large_report, large_bytes) = bytes_during(|| runner.run("toy", &large));
+    assert_eq!(small_report.completed, sessions);
+    assert_eq!(large_report.completed, sessions);
+    assert_eq!(
+        small_bytes, large_bytes,
+        "streaming replay allocated frame padding: {small_bytes} B with 64-byte frames, \
+         {large_bytes} B with 4,096-byte frames"
+    );
 }

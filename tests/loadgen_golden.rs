@@ -17,6 +17,7 @@ use std::path::PathBuf;
 
 use teenet_load::scenarios::{by_name_backend, by_name_mode, NAMES};
 use teenet_load::{LoadConfig, LoadMode, LoadRunner};
+use teenet_netsim::FaultConfig;
 use teenet_sgx::{TeeBackend, TransitionMode};
 
 /// Fixed shape of every golden run: open loop at the auto rate, default
@@ -168,6 +169,61 @@ fn keystore_matches_golden_vmtee_classic() {
 #[test]
 fn keystore_matches_golden_vmtee_switchless() {
     check_vmtee("keystore", TransitionMode::Switchless);
+}
+
+/// Runs `config` over `name`'s classic calibration and checks the JSON
+/// against `tests/fixtures/loadgen-faults/{name}.classic.{shape}.json`.
+/// The shapes pinned this way exercise what the clean open-loop fixtures
+/// never reach: retransmissions, stale timeouts, corrupted frames,
+/// duplicates, reordering and abandoned sessions. They sit in their own
+/// directory because `tests/fixtures/loadgen/` holds exactly the
+/// fixtures of the benchmark's golden sweep.
+fn check_faulty(name: &str, shape: &str, config: LoadConfig) {
+    let mut scenario = by_name_mode(name, SEED, TransitionMode::Classic).expect("known scenario");
+    let calibration = scenario.calibrate();
+    let got = LoadRunner::new(config)
+        .run(scenario.name(), &calibration)
+        .json();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/loadgen-faults")
+        .join(format!("{name}.classic.{shape}.json"));
+    if std::env::var_os("UPDATE_LOADGEN_GOLDEN").is_some() {
+        std::fs::write(&path, &got).expect("write faulty golden fixture");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
+    assert_eq!(
+        got, want,
+        "loadgen output for scenario {name} ({shape}) drifted from the golden fixture; \
+         if the change is deliberate, regenerate with UPDATE_LOADGEN_GOLDEN=1 and \
+         explain the diff in the commit"
+    );
+}
+
+/// tls closed loop under every fault kind with only two retries, so
+/// some sessions are abandoned and their timeouts go stale.
+#[test]
+fn tls_matches_golden_chaos() {
+    let mut config = LoadConfig::new(200, SEED, LoadMode::Closed { concurrency: 16 });
+    config.max_retries = 2;
+    config.faults = FaultConfig {
+        drop_chance: 0.2,
+        duplicate_chance: 0.05,
+        corrupt_chance: 0.05,
+        reorder_chance: 0.05,
+        ..Default::default()
+    };
+    check_faulty("tls", "chaos", config);
+}
+
+/// keystore open loop at the automatic rate on lossy links (15% drop,
+/// 15% corrupt), recovered by retransmission.
+#[test]
+fn keystore_matches_golden_lossy() {
+    let mut config = LoadConfig::new(SESSIONS, SEED, LoadMode::Open { rate_per_sec: None });
+    config.faults = FaultConfig::lossy();
+    check_faulty("keystore", "lossy", config);
 }
 
 #[test]
