@@ -1,6 +1,8 @@
 //! Ablation: Diffie–Hellman modulus size. DH dominates attestation cost
 //! (~90% of cycles in the paper), so the group size is the main cost
-//! lever; this measures the real modexp work at 768/1024/1536/2048 bits.
+//! lever; this measures the real modexp work at 768/1024/1536/2048 bits on
+//! both exponentiation paths: `keygen` raises the fixed generator (comb
+//! table), `shared_secret` a peer's value (windowed ladder).
 
 use std::time::Duration;
 
@@ -20,10 +22,15 @@ fn bench_dh_sizes(c: &mut Criterion) {
         ("1536", DhGroup::modp1536()),
         ("2048", DhGroup::modp2048()),
     ] {
+        // Generating the two keypairs also builds the group's comb table,
+        // a once-per-process cost the rows below do not time.
         let mut rng = SecureRng::seed_from_u64(4);
         let alice = DhKeyPair::generate(&g, &mut rng).expect("keypair");
         let bob = DhKeyPair::generate(&g, &mut rng).expect("keypair");
-        group.bench_with_input(BenchmarkId::from_parameter(label), &g, |b, _| {
+        group.bench_with_input(BenchmarkId::new("keygen", label), &g, |b, g| {
+            b.iter(|| DhKeyPair::generate(black_box(g), &mut rng).expect("keypair"))
+        });
+        group.bench_with_input(BenchmarkId::new("shared_secret", label), &g, |b, _| {
             b.iter(|| alice.shared_secret(black_box(&bob.public)).expect("secret"))
         });
     }

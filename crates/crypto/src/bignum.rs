@@ -2,11 +2,23 @@
 //!
 //! This is the arithmetic substrate under [`crate::dh`] and
 //! [`crate::schnorr`]. Numbers are stored as little-endian `u64` limbs with
-//! no leading zero limbs (canonical form). The two performance-critical
-//! paths are schoolbook multiplication and modular exponentiation; the
-//! latter uses Montgomery multiplication (CIOS) for odd moduli, which keeps
-//! 1024-bit DH usable even in debug builds, and falls back to
-//! divide-and-reduce square-and-multiply for even moduli.
+//! no leading zero limbs (canonical form).
+//!
+//! Modular exponentiation, nearly all of the workspace's host crypto time,
+//! has one path per kind of base, both in Montgomery form for odd moduli:
+//!
+//! * **Variable bases** ([`BigUint::modexp`]): fixed 4-bit windows over 15
+//!   precomputed powers, so one multiply per four squarings.
+//! * **Fixed bases** (`FixedBase`, the groups' generators): a Lim–Lee comb
+//!   of 6 rows whose 64-entry table is built once, so an exponent of the
+//!   modulus's length costs a sixth of the squarings. The tables for the
+//!   built-in groups live next to them in [`crate::dh`].
+//!
+//! The kernels, a schoolbook multiply and a squaring that takes each cross
+//! product once, each followed by Montgomery reduction, write into caller
+//! buffers and allocate nothing. Even moduli take `modexp_generic`,
+//! square-and-multiply with a division per step, which is also the oracle
+//! the Montgomery paths are tested against.
 
 use crate::error::CryptoError;
 use crate::Result;
@@ -427,9 +439,9 @@ impl BigUint {
 
     /// Modular exponentiation `self^exp mod modulus`.
     ///
-    /// Uses Montgomery multiplication (CIOS) for odd moduli — the common
-    /// case for DH and Schnorr primes — and a generic square-and-multiply
-    /// with explicit reduction otherwise.
+    /// Uses 4-bit windows over Montgomery multiplication for odd moduli —
+    /// the common case for DH and Schnorr primes — and a generic
+    /// square-and-multiply with explicit reduction otherwise.
     pub fn modexp(&self, exp: &BigUint, modulus: &BigUint) -> Result<BigUint> {
         if modulus.is_zero() {
             return Err(CryptoError::DivisionByZero);
@@ -447,11 +459,12 @@ impl BigUint {
         if modulus.is_even() {
             return base.modexp_generic(exp, modulus);
         }
-        let mont = Montgomery::new(modulus);
-        Ok(mont.modexp(&base, exp))
+        Ok(Montgomery::new(modulus).pow(&base, exp))
     }
 
-    fn modexp_generic(&self, exp: &BigUint, modulus: &BigUint) -> Result<BigUint> {
+    /// Square-and-multiply with a full reduction per step: the path for
+    /// even moduli, and the oracle the Montgomery paths are tested against.
+    pub(crate) fn modexp_generic(&self, exp: &BigUint, modulus: &BigUint) -> Result<BigUint> {
         let mut result = Self::one();
         let mut base = self.clone();
         for i in 0..exp.bit_len() {
@@ -518,6 +531,42 @@ impl BigUint {
             coeff.rem(m)?
         };
         Ok(inv)
+    }
+
+    /// The Jacobi symbol `(self / n)` for odd `n`: 1, -1, or 0 when they
+    /// share a factor. For a prime `n` it is 1 exactly on the nonzero
+    /// quadratic residues.
+    ///
+    /// Binary algorithm on limbs in place: strip factors of two, apply
+    /// reciprocity when swapping, subtract. About two steps per bit, far
+    /// cheaper than Euler's criterion `self^((n-1)/2)`.
+    pub(crate) fn jacobi(&self, n: &BigUint) -> Result<i8> {
+        if n.is_even() {
+            return Err(CryptoError::InvalidParameter(
+                "Jacobi symbol of an even modulus",
+            ));
+        }
+        let mut a = self.rem(n)?.limbs;
+        a.resize(n.limbs.len(), 0);
+        let mut n = n.limbs.clone();
+        let mut sign = 1i8;
+        while a.iter().any(|&l| l != 0) {
+            let zeros = shr_to_odd(&mut a);
+            // (2 / n) = -1 exactly when n ≡ 3 or 5 (mod 8).
+            if zeros % 2 == 1 && matches!(n[0] & 7, 3 | 5) {
+                sign = -sign;
+            }
+            if !ge_limbs(&a, &n) {
+                // Reciprocity: (a / n) = -(n / a) when both are ≡ 3 (mod 4).
+                core::mem::swap(&mut a, &mut n);
+                if a[0] & 3 == 3 && n[0] & 3 == 3 {
+                    sign = -sign;
+                }
+            }
+            sub_limbs_in_place(&mut a, &n);
+        }
+        let n_is_one = n[0] == 1 && n[1..].iter().all(|&l| l == 0);
+        Ok(if n_is_one { sign } else { 0 })
     }
 
     /// Miller–Rabin probabilistic primality test with `rounds` random
@@ -619,11 +668,23 @@ impl PartialOrd for BigUint {
     }
 }
 
+/// Width in bits of the variable-base ladder's exponent windows: 15
+/// precomputed powers, then one multiply per four squarings.
+const WINDOW: usize = 4;
+
+/// Rows of a fixed-base comb. The exponent is cut into this many rows of
+/// equal width, and the table holds every product of the rows' leading
+/// powers: 2^TEETH entries, 8 KiB at 1024 bits.
+const TEETH: usize = 6;
+
+// A window never straddles two limbs.
+const _: () = assert!(64 % WINDOW == 0);
+
 /// Montgomery-form modular arithmetic context for an odd modulus.
 ///
-/// Precomputes `n' = -n^-1 mod 2^64` and `R^2 mod n`, then performs
-/// exponentiation entirely in Montgomery form using the CIOS multiplication
-/// algorithm.
+/// Precomputes `n' = -n^-1 mod 2^64` and `R^2 mod n`, `R = 2^(64·len)`.
+/// Values in Montgomery form are `len`-limb slices; the kernels write into
+/// caller buffers and a `2·len`-limb scratch, so they never allocate.
 struct Montgomery {
     n: Vec<u64>,
     n_prime: u64,
@@ -642,80 +703,262 @@ impl Montgomery {
         }
         let n_prime = inv.wrapping_neg();
         // R^2 mod n where R = 2^(64 * len).
-        let r2 = BigUint::one()
+        let mut r2 = BigUint::one()
             .shl(n.len() * 64 * 2)
             .rem(modulus)
             .expect("modulus nonzero")
             .limbs;
+        r2.resize(n.len(), 0);
         Montgomery { n, n_prime, r2 }
     }
 
-    /// CIOS Montgomery multiplication: returns `a * b * R^-1 mod n`.
-    ///
-    /// `a` and `b` are length-`len` limb slices (zero-padded), output too.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let len = self.n.len();
-        let mut t = vec![0u64; len + 2];
-        for &ai in &a[..len] {
-            // t += ai * b
+    fn len(&self) -> usize {
+        self.n.len()
+    }
+
+    /// Scratch for the kernels: `2·len` limbs.
+    fn scratch(&self) -> Vec<u64> {
+        vec![0; 2 * self.len()]
+    }
+
+    /// `out = a · b · R^-1 mod n`: schoolbook product, then [`Self::redc`].
+    fn mul_into(&self, out: &mut [u64], a: &[u64], b: &[u64], t: &mut [u64]) {
+        let len = self.len();
+        t.fill(0);
+        for (i, &ai) in a.iter().enumerate() {
+            // Row i covers t[i..i + len]; its carry lands on the still-zero
+            // t[i + len].
+            let (row, top) = t[i..=i + len].split_at_mut(len);
             let mut carry = 0u128;
-            for j in 0..len {
-                let s = t[j] as u128 + ai as u128 * b[j] as u128 + carry;
-                t[j] = s as u64;
+            for (tj, &bj) in row.iter_mut().zip(b) {
+                let s = *tj as u128 + ai as u128 * bj as u128 + carry;
+                *tj = s as u64;
                 carry = s >> 64;
             }
-            let s = t[len] as u128 + carry;
-            t[len] = s as u64;
-            t[len + 1] = (s >> 64) as u64;
-            // m = t[0] * n' mod 2^64 ; t += m * n ; t >>= 64
-            let m = t[0].wrapping_mul(self.n_prime);
-            let mut carry = (t[0] as u128 + m as u128 * self.n[0] as u128) >> 64;
-            for j in 1..len {
-                let s = t[j] as u128 + m as u128 * self.n[j] as u128 + carry;
-                t[j - 1] = s as u64;
+            top[0] = carry as u64;
+        }
+        self.redc(out, t);
+    }
+
+    /// `out = a² · R^-1 mod n`. Each cross product `a[i]·a[j]` is taken
+    /// once and doubled, so the product costs about half of
+    /// [`Self::mul_into`]'s.
+    fn sqr_into(&self, out: &mut [u64], a: &[u64], t: &mut [u64]) {
+        let len = self.len();
+        t.fill(0);
+        for (i, &ai) in a.iter().enumerate() {
+            let (row, top) = t[2 * i + 1..=i + len].split_at_mut(len - i - 1);
+            let mut carry = 0u128;
+            for (tj, &aj) in row.iter_mut().zip(&a[i + 1..]) {
+                let s = *tj as u128 + ai as u128 * aj as u128 + carry;
+                *tj = s as u64;
                 carry = s >> 64;
             }
-            let s = t[len] as u128 + carry;
-            t[len - 1] = s as u64;
-            t[len] = t[len + 1].wrapping_add((s >> 64) as u64);
-            t[len + 1] = 0;
+            top[0] = carry as u64;
         }
-        // Conditional final subtraction. When the overflow limb is set the
-        // borrow out of the subtraction is absorbed by the implicit
-        // 2^(64*len) bit, so a borrow is expected exactly then.
-        let mut out = t[..len].to_vec();
-        let overflow = t[len] != 0;
-        if overflow || ge_limbs(&out, &self.n) {
-            let borrow = sub_limbs_in_place(&mut out, &self.n);
-            debug_assert_eq!(borrow, overflow as u64);
+        // Double the cross products and add the squares on the diagonal.
+        let mut shifted_out = 0u64;
+        let mut carry = 0u128;
+        for (pair, &ai) in t.chunks_exact_mut(2).zip(a) {
+            let sq = ai as u128 * ai as u128;
+            let lo = (pair[0] << 1) | shifted_out;
+            let hi = (pair[1] << 1) | (pair[0] >> 63);
+            shifted_out = pair[1] >> 63;
+            let s = lo as u128 + (sq as u64) as u128 + carry;
+            pair[0] = s as u64;
+            let s = hi as u128 + (sq >> 64) + (s >> 64);
+            pair[1] = s as u64;
+            carry = s >> 64;
         }
+        debug_assert!(shifted_out == 0 && carry == 0);
+        self.redc(out, t);
+    }
+
+    /// Montgomery reduction: `out = t · R^-1 mod n` for a `2·len`-limb
+    /// `t < n·R`. Clobbers `t`.
+    fn redc(&self, out: &mut [u64], t: &mut [u64]) {
+        let len = self.len();
+        // Carry out of t[i + len], owed to t[i + len + 1] in the next round.
+        let mut hi = 0u64;
+        for i in 0..len {
+            let m = t[i].wrapping_mul(self.n_prime);
+            let (row, rest) = t[i..].split_at_mut(len);
+            let mut carry = 0u128;
+            for (tj, &nj) in row.iter_mut().zip(&self.n) {
+                let s = *tj as u128 + m as u128 * nj as u128 + carry;
+                *tj = s as u64;
+                carry = s >> 64;
+            }
+            let s = rest[0] as u128 + carry + hi as u128;
+            rest[0] = s as u64;
+            hi = (s >> 64) as u64;
+        }
+        out.copy_from_slice(&t[len..]);
+        // The result is < 2n. When `hi` is set the borrow out of the
+        // subtraction is absorbed by the implicit 2^(64·len) bit, so a
+        // borrow is expected exactly then.
+        if hi != 0 || ge_limbs(out, &self.n) {
+            let borrow = sub_limbs_in_place(out, &self.n);
+            debug_assert_eq!(borrow, hi);
+        }
+    }
+
+    /// `x · R mod n` for `x < n`.
+    fn to_mont(&self, x: &BigUint, t: &mut [u64]) -> Vec<u64> {
+        let mut padded = x.limbs.clone();
+        padded.resize(self.len(), 0);
+        let mut out = vec![0; self.len()];
+        self.mul_into(&mut out, &padded, &self.r2, t);
         out
     }
 
-    fn modexp(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let len = self.n.len();
-        let mut base_limbs = base.limbs.clone();
-        base_limbs.resize(len, 0);
-        let mut r2 = self.r2.clone();
-        r2.resize(len, 0);
-        // Convert to Montgomery form.
-        let base_m = self.mont_mul(&base_limbs, &r2);
-        // one_m = R mod n = mont_mul(1, R^2)
-        let mut one = vec![0u64; len];
-        one[0] = 1;
-        let mut acc = self.mont_mul(&one, &r2);
-        // Left-to-right square-and-multiply.
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &base_m);
-            }
-        }
-        // Convert out of Montgomery form: mont_mul(acc, 1).
-        let res = self.mont_mul(&acc, &one);
-        let mut out = BigUint { limbs: res };
+    /// `x · R^-1 mod n`, normalised.
+    fn out_of_mont(&self, x: &[u64], t: &mut [u64]) -> BigUint {
+        let len = self.len();
+        t[..len].copy_from_slice(x);
+        t[len..].fill(0);
+        let mut out = BigUint {
+            limbs: vec![0; len],
+        };
+        self.redc(&mut out.limbs, t);
         out.normalize();
         out
+    }
+
+    /// `base^exp mod n` for `base < n` and `exp > 0`, by fixed
+    /// [`WINDOW`]-bit windows from the top.
+    fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        debug_assert!(!exp.is_zero());
+        let len = self.len();
+        let mut t = self.scratch();
+        // powers[(d - 1)·len..d·len] = base^d in Montgomery form.
+        let mut powers = vec![0u64; ((1 << WINDOW) - 1) * len];
+        powers[..len].copy_from_slice(&self.to_mont(base, &mut t));
+        for d in 2..1 << WINDOW {
+            let (done, next) = powers.split_at_mut((d - 1) * len);
+            self.mul_into(
+                &mut next[..len],
+                &done[(d - 2) * len..],
+                &done[..len],
+                &mut t,
+            );
+        }
+        let power = |d: usize| &powers[(d - 1) * len..d * len];
+        let digit = |k: usize| {
+            let bit = k * WINDOW;
+            ((exp.limbs[bit / 64] >> (bit % 64)) & ((1 << WINDOW) - 1)) as usize
+        };
+        let digits = exp.bit_len().div_ceil(WINDOW);
+        let mut acc = power(digit(digits - 1)).to_vec();
+        let mut tmp = vec![0u64; len];
+        for k in (0..digits - 1).rev() {
+            for _ in 0..WINDOW {
+                self.sqr_into(&mut tmp, &acc, &mut t);
+                core::mem::swap(&mut acc, &mut tmp);
+            }
+            let d = digit(k);
+            if d != 0 {
+                self.mul_into(&mut tmp, &acc, power(d), &mut t);
+                core::mem::swap(&mut acc, &mut tmp);
+            }
+        }
+        self.out_of_mont(&acc, &mut t)
+    }
+}
+
+/// Fixed-base exponentiation for one `(base, n)` pair with `n` odd: a
+/// Lim–Lee comb table next to the modulus's Montgomery context, both
+/// built once.
+///
+/// An exponent of up to `TEETH · cols` bits (`n`'s bit length, rounded up
+/// to a multiple of [`TEETH`]) is read as [`TEETH`] rows of `cols` bits;
+/// the comb takes `cols` squarings and at most `cols` multiplications,
+/// against about `bits` squarings for a variable base. A longer exponent
+/// takes the windowed path.
+pub(crate) struct FixedBase {
+    mont: Montgomery,
+    base: BigUint,
+    cols: usize,
+    /// Entry `v` (`len` limbs at `v·len`, 1 ≤ v < 2^TEETH) is the product
+    /// of `base^(2^(i·cols))` over the set bits `i` of `v`, in Montgomery
+    /// form. Entry 0 is unused.
+    table: Vec<u64>,
+}
+
+impl FixedBase {
+    /// Builds the table: `(TEETH - 1)·cols` squarings and 2^TEETH
+    /// multiplications, about one exponentiation's work.
+    pub(crate) fn new(base: &BigUint, modulus: &BigUint) -> Self {
+        assert!(
+            !modulus.is_even() && !modulus.is_one() && base.cmp_to(modulus) == Ordering::Less,
+            "fixed-base table needs an odd modulus > 1 and a reduced base"
+        );
+        let mont = Montgomery::new(modulus);
+        let len = mont.len();
+        let cols = modulus.bit_len().div_ceil(TEETH);
+        let mut t = mont.scratch();
+        let mut table = vec![0u64; (1 << TEETH) * len];
+        let mut row = mont.to_mont(base, &mut t);
+        let mut tmp = vec![0u64; len];
+        for i in 0..TEETH {
+            if i > 0 {
+                for _ in 0..cols {
+                    mont.sqr_into(&mut tmp, &row, &mut t);
+                    core::mem::swap(&mut row, &mut tmp);
+                }
+            }
+            table[(1 << i) * len..][..len].copy_from_slice(&row);
+        }
+        for v in 3..1usize << TEETH {
+            if v.is_power_of_two() {
+                continue;
+            }
+            let top = 1 << (usize::BITS - 1 - v.leading_zeros());
+            let (done, next) = table.split_at_mut(v * len);
+            mont.mul_into(
+                &mut next[..len],
+                &done[(v - top) * len..][..len],
+                &done[top * len..][..len],
+                &mut t,
+            );
+        }
+        FixedBase {
+            mont,
+            base: base.clone(),
+            cols,
+            table,
+        }
+    }
+
+    /// `base^exp mod n`.
+    pub(crate) fn pow(&self, exp: &BigUint) -> BigUint {
+        if exp.is_zero() {
+            return BigUint::one();
+        }
+        if exp.bit_len() > TEETH * self.cols {
+            return self.mont.pow(&self.base, exp);
+        }
+        let len = self.mont.len();
+        let entry = |v: usize| &self.table[v * len..(v + 1) * len];
+        let mut t = self.mont.scratch();
+        let mut acc = vec![0u64; len];
+        let mut tmp = vec![0u64; len];
+        let mut started = false;
+        for j in (0..self.cols).rev() {
+            let v = (0..TEETH).fold(0, |v, i| v | (exp.bit(i * self.cols + j) as usize) << i);
+            if started {
+                self.mont.sqr_into(&mut tmp, &acc, &mut t);
+                core::mem::swap(&mut acc, &mut tmp);
+                if v != 0 {
+                    self.mont.mul_into(&mut tmp, &acc, entry(v), &mut t);
+                    core::mem::swap(&mut acc, &mut tmp);
+                }
+            } else if v != 0 {
+                acc.copy_from_slice(entry(v));
+                started = true;
+            }
+        }
+        self.mont.out_of_mont(&acc, &mut t)
     }
 }
 
@@ -729,6 +972,22 @@ fn ge_limbs(a: &[u64], b: &[u64]) -> bool {
         }
     }
     true
+}
+
+/// Shifts a nonzero `a` right in place until it is odd; returns the shift.
+fn shr_to_odd(a: &mut [u64]) -> usize {
+    let limbs = a.iter().take_while(|&&l| l == 0).count();
+    a.copy_within(limbs.., 0);
+    let len = a.len();
+    a[len - limbs..].fill(0);
+    let bits = a[0].trailing_zeros() as usize;
+    if bits > 0 {
+        for i in 0..len {
+            let hi = a.get(i + 1).copied().unwrap_or(0);
+            a[i] = (a[i] >> bits) | (hi << (64 - bits));
+        }
+    }
+    limbs * 64 + bits
 }
 
 /// Subtracts `b` from `a` in place, returning the final borrow (0 or 1).
@@ -1049,5 +1308,175 @@ mod primality_tests {
                 group.bits
             );
         }
+    }
+}
+
+/// Differential tests at the built-in group sizes (768 to 2048 bits), where
+/// the Montgomery kernels run on 12 to 32 limbs: the windowed path here,
+/// the comb tables through the groups' `pow_g` in `dh` and `schnorr`, all
+/// against [`BigUint::modexp_generic`].
+#[cfg(test)]
+pub(crate) mod full_size {
+    use super::*;
+    use crate::dh::DhGroup;
+    use crate::rng::SecureRng;
+
+    /// Random cases per group and path.
+    pub(crate) const RANDOM_CASES: usize = 16;
+
+    pub(crate) fn oracle(base: &BigUint, exp: &BigUint, p: &BigUint) -> BigUint {
+        base.rem(p).unwrap().modexp_generic(exp, p).unwrap()
+    }
+
+    fn pow2(k: usize) -> BigUint {
+        BigUint::one().shl(k)
+    }
+
+    /// Exponents at the edges of both paths for a modulus `p`: small
+    /// values, `2^k - 1`, `2^k` and `2^k + 1` at window, limb and comb-row
+    /// boundaries, `p - 2`, `p - 1`, and `2^span` — one bit longer than
+    /// the comb covers, so it must take the windowed path.
+    pub(crate) fn edge_exponents(p: &BigUint) -> Vec<BigUint> {
+        let cols = p.bit_len().div_ceil(TEETH);
+        let mut ks = vec![WINDOW, 2 * WINDOW, 64, 128];
+        ks.extend((1..=TEETH).map(|i| i * cols));
+        let mut exps: Vec<BigUint> = [0, 1, 2, 15, 16, 17].map(BigUint::from_u64).into();
+        for k in ks {
+            exps.push(pow2(k).checked_sub(&BigUint::one()).unwrap());
+            exps.push(pow2(k));
+            exps.push(pow2(k).add(&BigUint::one()));
+        }
+        exps.push(p.checked_sub(&BigUint::from_u64(2)).unwrap());
+        exps.push(p.checked_sub(&BigUint::one()).unwrap());
+        exps
+    }
+
+    /// `count` seeded `(base, exponent)` pairs: bases up to a byte longer
+    /// than `p` (so some are ≥ p), exponents of up to `p`'s length.
+    pub(crate) fn random_cases(p: &BigUint, seed: u64, count: usize) -> Vec<(BigUint, BigUint)> {
+        let mut rng = SecureRng::seed_from_u64(seed);
+        let mut draw = |len: usize| {
+            let mut buf = vec![0u8; len];
+            rng.fill_bytes(&mut buf);
+            BigUint::from_bytes_be(&buf)
+        };
+        let bytes = p.bit_len() / 8;
+        (0..count).map(|_| (draw(bytes + 1), draw(bytes))).collect()
+    }
+
+    fn builtin_primes() -> [BigUint; 4] {
+        [
+            DhGroup::modp768().p,
+            DhGroup::modp1024().p,
+            DhGroup::modp1536().p,
+            DhGroup::modp2048().p,
+        ]
+    }
+
+    #[test]
+    fn windowed_matches_generic_on_edge_exponents() {
+        for p in builtin_primes() {
+            let base = random_cases(&p, 5, 1).remove(0).0;
+            for e in edge_exponents(&p) {
+                assert_eq!(base.modexp(&e, &p).unwrap(), oracle(&base, &e, &p), "{e:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn windowed_matches_generic_on_edge_bases() {
+        for p in builtin_primes() {
+            let p_minus_1 = p.checked_sub(&BigUint::one()).unwrap();
+            let bases = [
+                BigUint::zero(),
+                BigUint::one(),
+                BigUint::from_u64(2),
+                p_minus_1.clone(),
+                p.clone(),
+                p.add(&BigUint::one()),
+                p.shl(1).add(&BigUint::from_u64(5)),
+            ];
+            let exps = [
+                BigUint::from_u64(3),
+                p_minus_1.checked_sub(&BigUint::one()).unwrap(),
+            ];
+            for b in &bases {
+                for e in &exps {
+                    assert_eq!(b.modexp(e, &p).unwrap(), oracle(b, e, &p), "{b:?}^{e:?}");
+                }
+            }
+        }
+    }
+
+    fn random_sweep(p: &BigUint) {
+        for (b, e) in random_cases(p, p.bit_len() as u64, RANDOM_CASES) {
+            assert_eq!(b.modexp(&e, p).unwrap(), oracle(&b, &e, p), "{b:?}^{e:?}");
+        }
+    }
+
+    #[test]
+    fn windowed_matches_generic_random_768_1024() {
+        random_sweep(&DhGroup::modp768().p);
+        random_sweep(&DhGroup::modp1024().p);
+    }
+
+    #[test]
+    #[ignore = "1536/2048-bit oracle sweep; run with --include-ignored"]
+    fn windowed_matches_generic_random_1536_2048() {
+        random_sweep(&DhGroup::modp1536().p);
+        random_sweep(&DhGroup::modp2048().p);
+    }
+
+    #[test]
+    fn fixed_base_matches_generic_on_an_arbitrary_base() {
+        // The comb for a base other than the groups' generators, on a
+        // modulus whose bit length is not a multiple of TEETH.
+        let p = DhGroup::modp1024().p;
+        let (base, _) = random_cases(&p, 6, 1).remove(0);
+        let base = base.rem(&p).unwrap();
+        let comb = FixedBase::new(&base, &p);
+        for e in edge_exponents(&p) {
+            assert_eq!(comb.pow(&e), oracle(&base, &e, &p), "{e:?}");
+        }
+    }
+
+    #[test]
+    fn jacobi_matches_euler_criterion() {
+        let p = DhGroup::modp768().p;
+        let q = p.checked_sub(&BigUint::one()).unwrap().shr(1);
+        let p_minus_1 = p.checked_sub(&BigUint::one()).unwrap();
+        // Values with zero low limbs exercise whole-limb shifts, the last
+        // one with its top limb set.
+        let mut shifted = [(1, 64), (3, 128), (5, 64 * 5 + 3)]
+            .map(|(v, k)| BigUint::from_u64(v).shl(k))
+            .to_vec();
+        shifted.push(p.shr(130).shl(130));
+        let randoms = random_cases(&p, 7, 24).into_iter().map(|(a, _)| a);
+        for a in randoms.chain(shifted) {
+            let a = a.rem(&p).unwrap();
+            let euler = a.modexp(&q, &p).unwrap();
+            let expected = if a.is_zero() {
+                0
+            } else if euler.is_one() {
+                1
+            } else {
+                assert_eq!(euler, p_minus_1);
+                -1
+            };
+            assert_eq!(a.jacobi(&p).unwrap(), expected, "{a:?}");
+        }
+    }
+
+    #[test]
+    fn jacobi_small_values() {
+        let j = |a: u64, n: u64| BigUint::from_u64(a).jacobi(&BigUint::from_u64(n)).unwrap();
+        // Quadratic residues mod 7 are 1, 2 and 4.
+        let mod7: Vec<i8> = (0..7).map(|a| j(a, 7)).collect();
+        assert_eq!(mod7, [0, 1, 1, -1, 1, -1, -1]);
+        // Composite n: (2/15) = (2/3)(2/5) = 1, and a shared factor gives 0.
+        assert_eq!(j(2, 15), 1);
+        assert_eq!(j(7, 15), -1);
+        assert_eq!(j(6, 15), 0);
+        assert!(BigUint::one().jacobi(&BigUint::from_u64(8)).is_err());
     }
 }

@@ -5,7 +5,9 @@
 //! also expose the 768/1536/2048-bit MODP groups for the key-size ablation
 //! benchmarks.
 
-use crate::bignum::BigUint;
+use std::sync::OnceLock;
+
+use crate::bignum::{BigUint, FixedBase};
 use crate::error::CryptoError;
 use crate::rng::SecureRng;
 use crate::Result;
@@ -50,35 +52,87 @@ pub struct DhGroup {
     pub bits: usize,
 }
 
+/// A built-in MODP group: parsed on first use, with a fixed-base table for
+/// each generator in [`GENERATORS`], each also built on first use and kept
+/// for the life of the process.
+struct Builtin {
+    hex: &'static str,
+    bits: usize,
+    group: OnceLock<DhGroup>,
+    tables: [OnceLock<FixedBase>; GENERATORS.len()],
+}
+
+/// The generators the crate raises over built-in primes: 2 for DH, 4 for
+/// the Schnorr subgroup.
+const GENERATORS: [u64; 2] = [2, 4];
+
+impl Builtin {
+    const fn new(hex: &'static str, bits: usize) -> Self {
+        Builtin {
+            hex,
+            bits,
+            group: OnceLock::new(),
+            tables: [OnceLock::new(), OnceLock::new()],
+        }
+    }
+
+    fn group(&self) -> &DhGroup {
+        self.group.get_or_init(|| {
+            let p = BigUint::from_hex(self.hex).expect("valid builtin prime");
+            debug_assert_eq!(p.bit_len(), self.bits);
+            DhGroup {
+                p,
+                g: BigUint::from_u64(GENERATORS[0]),
+                bits: self.bits,
+            }
+        })
+    }
+}
+
+static BUILTINS: [Builtin; 4] = [
+    Builtin::new(MODP_768, 768),
+    Builtin::new(MODP_1024, 1024),
+    Builtin::new(MODP_1536, 1536),
+    Builtin::new(MODP_2048, 2048),
+];
+
+/// `g^e mod p`. A built-in prime raised to one of [`GENERATORS`] takes
+/// that pair's comb table; any other pair takes [`BigUint::modexp`].
+pub(crate) fn pow_generator(g: &BigUint, p: &BigUint, e: &BigUint) -> Result<BigUint> {
+    let builtin = BUILTINS
+        .iter()
+        .find(|b| b.bits == p.bit_len() && b.group().p == *p);
+    let slot = GENERATORS.iter().position(|&v| *g == BigUint::from_u64(v));
+    match (builtin, slot) {
+        (Some(b), Some(slot)) => Ok(b.tables[slot].get_or_init(|| FixedBase::new(g, p)).pow(e)),
+        _ => g.modexp(e, p),
+    }
+}
+
 impl DhGroup {
     /// The 768-bit Oakley Group 1.
     pub fn modp768() -> Self {
-        Self::from_hex(MODP_768, 768)
+        BUILTINS[0].group().clone()
     }
 
     /// The 1024-bit Oakley Group 2 — the paper's evaluation parameter.
     pub fn modp1024() -> Self {
-        Self::from_hex(MODP_1024, 1024)
+        BUILTINS[1].group().clone()
     }
 
     /// The 1536-bit MODP Group 5.
     pub fn modp1536() -> Self {
-        Self::from_hex(MODP_1536, 1536)
+        BUILTINS[2].group().clone()
     }
 
     /// The 2048-bit MODP Group 14.
     pub fn modp2048() -> Self {
-        Self::from_hex(MODP_2048, 2048)
+        BUILTINS[3].group().clone()
     }
 
-    fn from_hex(hex: &str, bits: usize) -> Self {
-        let p = BigUint::from_hex(hex).expect("valid builtin prime");
-        debug_assert_eq!(p.bit_len(), bits);
-        DhGroup {
-            p,
-            g: BigUint::from_u64(2),
-            bits,
-        }
+    /// `g^e mod p`, through the generator's comb table on a built-in group.
+    pub(crate) fn pow_g(&self, e: &BigUint) -> Result<BigUint> {
+        pow_generator(&self.g, &self.p, e)
     }
 
     /// Length in bytes of a serialised group element.
@@ -103,7 +157,7 @@ impl DhKeyPair {
         let upper = group.p.checked_sub(&BigUint::from_u64(3))?;
         let private =
             BigUint::random_below(&upper, |buf| rng.fill_bytes(buf))?.add(&BigUint::from_u64(2));
-        let public = group.g.modexp(&private, &group.p)?;
+        let public = group.pow_g(&private)?;
         Ok(DhKeyPair {
             group: group.clone(),
             private,
@@ -148,6 +202,71 @@ impl DhKeyPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bignum::full_size::{edge_exponents, oracle, random_cases, RANDOM_CASES};
+
+    fn all_groups() -> [DhGroup; 4] {
+        [
+            DhGroup::modp768(),
+            DhGroup::modp1024(),
+            DhGroup::modp1536(),
+            DhGroup::modp2048(),
+        ]
+    }
+
+    #[test]
+    fn pow_g_matches_generic_on_edge_exponents() {
+        for group in all_groups() {
+            for e in edge_exponents(&group.p) {
+                assert_eq!(
+                    group.pow_g(&e).unwrap(),
+                    oracle(&group.g, &e, &group.p),
+                    "{e:?}"
+                );
+            }
+        }
+    }
+
+    fn pow_g_random_sweep(group: &DhGroup) {
+        for (_, e) in random_cases(&group.p, 2 * group.bits as u64, RANDOM_CASES) {
+            assert_eq!(
+                group.pow_g(&e).unwrap(),
+                oracle(&group.g, &e, &group.p),
+                "{e:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn pow_g_matches_generic_random_768_1024() {
+        pow_g_random_sweep(&DhGroup::modp768());
+        pow_g_random_sweep(&DhGroup::modp1024());
+    }
+
+    #[test]
+    #[ignore = "1536/2048-bit oracle sweep; run with --include-ignored"]
+    fn pow_g_matches_generic_random_1536_2048() {
+        pow_g_random_sweep(&DhGroup::modp1536());
+        pow_g_random_sweep(&DhGroup::modp2048());
+    }
+
+    #[test]
+    fn pow_g_outside_the_builtin_groups_takes_the_general_path() {
+        // A changed generator, and a prime that is not built in, have no
+        // table; both must still give g^e mod p.
+        let mut group = DhGroup::modp768();
+        group.g = BigUint::from_u64(5);
+        let e = group.p.checked_sub(&BigUint::from_u64(2)).unwrap();
+        assert_eq!(group.pow_g(&e).unwrap(), oracle(&group.g, &e, &group.p));
+        let small = DhGroup {
+            p: BigUint::from_u64(1019),
+            g: BigUint::from_u64(2),
+            bits: 10,
+        };
+        assert_eq!(
+            small.pow_g(&BigUint::from_u64(1000)).unwrap(),
+            oracle(&small.g, &BigUint::from_u64(1000), &small.p)
+        );
+    }
 
     #[test]
     fn groups_have_expected_sizes() {

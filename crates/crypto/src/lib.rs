@@ -30,6 +30,9 @@
 //! These implementations favour clarity and determinism for a research
 //! simulator. They are **not** hardened against side channels beyond basic
 //! constant-time tag comparison and must not be used to protect real data.
+//! In particular, modular exponentiation branches on secret exponent bits,
+//! and its window and comb table lookups are indexed by them: a timing and
+//! cache channel of the same class, tolerable only in a simulator.
 
 pub mod aes;
 pub mod bignum;

@@ -16,8 +16,10 @@
 //! correct by construction, no trusted group constants needed beyond the
 //! well-known primes.
 
+use std::sync::OnceLock;
+
 use crate::bignum::BigUint;
-use crate::dh::DhGroup;
+use crate::dh::{pow_generator, DhGroup};
 use crate::error::CryptoError;
 use crate::rng::SecureRng;
 use crate::sha256::Sha256;
@@ -47,12 +49,23 @@ impl SchnorrGroup {
 
     /// The standard 1024-bit group (matching the paper's DH parameter).
     pub fn standard() -> Self {
-        Self::from_dh_group(&DhGroup::modp1024())
+        static GROUP: OnceLock<SchnorrGroup> = OnceLock::new();
+        GROUP
+            .get_or_init(|| Self::from_dh_group(&DhGroup::modp1024()))
+            .clone()
     }
 
     /// A smaller 768-bit group for fast tests.
     pub fn small() -> Self {
-        Self::from_dh_group(&DhGroup::modp768())
+        static GROUP: OnceLock<SchnorrGroup> = OnceLock::new();
+        GROUP
+            .get_or_init(|| Self::from_dh_group(&DhGroup::modp768()))
+            .clone()
+    }
+
+    /// `g^e mod p`, through the generator's comb table on a built-in prime.
+    fn pow_g(&self, e: &BigUint) -> Result<BigUint> {
+        pow_generator(&self.g, &self.p, e)
     }
 
     /// Hashes a message (and nonce commitment) into a challenge scalar in
@@ -132,7 +145,7 @@ impl SigningKey {
     /// Generates a keypair in `group`.
     pub fn generate(group: &SchnorrGroup, rng: &mut SecureRng) -> Result<Self> {
         let x = BigUint::random_below(&group.q, |buf| rng.fill_bytes(buf))?;
-        let y = group.g.modexp(&x, &group.p)?;
+        let y = group.pow_g(&x)?;
         Ok(SigningKey {
             group: group.clone(),
             x,
@@ -153,7 +166,7 @@ impl SigningKey {
                 break k;
             }
         };
-        let r = g.g.modexp(&k, &g.p)?;
+        let r = g.pow_g(&k)?;
         let e = g.challenge(&r, &self.public.y, msg)?;
         // s = k + e*x mod q
         let s = k.mod_add(&e.mod_mul(&self.x, &g.q)?, &g.q)?;
@@ -176,7 +189,7 @@ impl VerifyingKey {
             return Err(CryptoError::VerificationFailed("signature scalar range"));
         }
         // r' = g^s * y^(q - e) mod p  (y^-e == y^(q-e) since ord(y) | q)
-        let gs = g.g.modexp(&sig.s, &g.p)?;
+        let gs = g.pow_g(&sig.s)?;
         let neg_e = g.q.checked_sub(&sig.e)?;
         let ye = self.y.modexp(&neg_e, &g.p)?;
         let r = gs.mod_mul(&ye, &g.p)?;
@@ -195,10 +208,21 @@ impl VerifyingKey {
     }
 
     /// Reconstructs a verifying key from bytes in a known group.
+    ///
+    /// Accepts only elements of the order-`q` subgroup other than 1:
+    /// [`VerifyingKey::verify`] relies on `ord(y) | q`, and `y = 1` would
+    /// accept any `(e, s)` with `e = H(g^s ‖ 1 ‖ msg)`. With `p` a safe
+    /// prime that subgroup is the quadratic residues, so a Jacobi symbol
+    /// decides membership without an exponentiation.
     pub fn from_bytes(group: &SchnorrGroup, bytes: &[u8]) -> Result<Self> {
         let y = BigUint::from_bytes_be(bytes);
-        if y.is_zero() || y.cmp_to(&group.p) != core::cmp::Ordering::Less {
+        if y.is_zero() || y.is_one() || y.cmp_to(&group.p) != core::cmp::Ordering::Less {
             return Err(CryptoError::InvalidParameter("public key out of range"));
+        }
+        if y.jacobi(&group.p)? != 1 {
+            return Err(CryptoError::InvalidParameter(
+                "public key outside the order-q subgroup",
+            ));
         }
         Ok(VerifyingKey {
             group: group.clone(),
@@ -210,6 +234,26 @@ impl VerifyingKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bignum::full_size::{edge_exponents, oracle, random_cases, RANDOM_CASES};
+
+    #[test]
+    fn pow_g_matches_generic_on_builtin_groups() {
+        for group in [SchnorrGroup::small(), SchnorrGroup::standard()] {
+            let q_minus_1 = group.q.checked_sub(&BigUint::one()).unwrap();
+            let randoms = random_cases(&group.q, 3, RANDOM_CASES).into_iter();
+            let exps = edge_exponents(&group.p)
+                .into_iter()
+                .chain([group.q.clone(), q_minus_1])
+                .chain(randoms.map(|(_, e)| e));
+            for e in exps {
+                assert_eq!(
+                    group.pow_g(&e).unwrap(),
+                    oracle(&group.g, &e, &group.p),
+                    "{e:?}"
+                );
+            }
+        }
+    }
 
     fn setup() -> (SchnorrGroup, SigningKey, SecureRng) {
         let group = SchnorrGroup::small();
@@ -298,6 +342,22 @@ mod tests {
         assert!(VerifyingKey::from_bytes(&group, &[]).is_err());
         let p_bytes = group.p.to_bytes_be();
         assert!(VerifyingKey::from_bytes(&group, &p_bytes).is_err());
+    }
+
+    #[test]
+    fn verifying_key_rejects_elements_outside_the_subgroup() {
+        // y = 1 would accept any (e, s) with e = H(g^s ‖ 1 ‖ msg); p - 1 has
+        // order 2; p - 4 = -g is a quadratic non-residue.
+        let group = SchnorrGroup::small();
+        let len = group.p.bit_len() / 8;
+        let p_minus = |v: u64| group.p.checked_sub(&BigUint::from_u64(v)).unwrap();
+        for y in [BigUint::one(), p_minus(1), p_minus(4)] {
+            let bytes = y.to_bytes_be_padded(len).unwrap();
+            assert!(VerifyingKey::from_bytes(&group, &bytes).is_err(), "{y:?}");
+        }
+        // Their product, g = (p - 1)(p - 4), is a subgroup element.
+        let bytes = group.g.to_bytes_be_padded(len).unwrap();
+        VerifyingKey::from_bytes(&group, &bytes).unwrap();
     }
 
     #[test]
