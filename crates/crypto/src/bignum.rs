@@ -10,8 +10,8 @@
 //! * **Variable bases** ([`BigUint::modexp`]): fixed 4-bit windows over 15
 //!   precomputed powers, so one multiply per four squarings.
 //! * **Fixed bases** (`FixedBase`, the groups' generators): a Lim–Lee comb
-//!   of 6 rows whose 64-entry table is built once, so an exponent of the
-//!   modulus's length costs a sixth of the squarings. The tables for the
+//!   of 8 rows whose 256-entry table is built once, so an exponent of the
+//!   modulus's length costs an eighth of the squarings. The tables for the
 //!   built-in groups live next to them in [`crate::dh`].
 //!
 //! The kernels, a schoolbook multiply and a squaring that takes each cross
@@ -19,6 +19,11 @@
 //! buffers and allocate nothing. Even moduli take `modexp_generic`,
 //! square-and-multiply with a division per step, which is also the oracle
 //! the Montgomery paths are tested against.
+//!
+//! Schnorr verification also needs a modular inverse. `mod_inv_odd` is a
+//! binary extended GCD for odd moduli, in place on limbs; it branches on
+//! its input's bits, so it serves public values only. The Euclidean
+//! [`BigUint::mod_inv`] covers every modulus and is its test oracle.
 
 use crate::error::CryptoError;
 use crate::Result;
@@ -533,6 +538,94 @@ impl BigUint {
         Ok(inv)
     }
 
+    /// `self^-1 mod m` for odd `m`: the same value as [`BigUint::mod_inv`],
+    /// or an error when there is none.
+    ///
+    /// Binary extended GCD on limbs in place, with no division and no
+    /// allocation per step. `(u, v)` run from `(self, m)` down to their gcd
+    /// while `x_u·self ≡ u` and `x_v·self ≡ v (mod m)` hold: each step
+    /// subtracts the smaller of the odd `u`, `v` from the larger (and its
+    /// `x` from the other's), then strips the difference's factors of two,
+    /// halving its `x` mod `m` once per factor. The `x` updates are
+    /// batched: up to [`INV_BATCH`] halvings go into a signed 2×2 matrix of
+    /// word-sized integers over `2^j`, which [`combine_halved`] then applies
+    /// to both full-length `x` in one pass. Variable time, so for public
+    /// inputs only.
+    pub(crate) fn mod_inv_odd(&self, modulus: &BigUint) -> Result<BigUint> {
+        if modulus.is_even() {
+            return Err(CryptoError::InvalidParameter(
+                "binary inverse of an even modulus",
+            ));
+        }
+        let no_inverse = Err(CryptoError::InvalidParameter("no modular inverse"));
+        let m = &modulus.limbs;
+        let len = m.len();
+        let mut uv = [self.rem(modulus)?.limbs, m.clone()];
+        if uv[0].is_empty() {
+            return no_inverse;
+        }
+        uv[0].resize(len, 0);
+        let mut x = [vec![0u64; len], vec![0u64; len]];
+        x[0][0] = 1;
+        let mut next = [vec![0u64; len], vec![0u64; len]];
+        let mut t = vec![0u64; len + 1];
+        let n_prime = neg_inv_u64(m[0]);
+        // The pending update: row r turns x into (c[r][0]·x[0] + c[r][1]·x[1])
+        // / 2^j. Each row's |entries| sum to at most 2^j whenever a batch
+        // is applied: a subtraction adds one row into the other, and the
+        // halving that follows doubles the other row.
+        let mut c = [[1i64, 0], [0, 1]];
+        let mut j = 0u32;
+        let mut apply = |x: &mut [Vec<u64>; 2], c: &[[i64; 2]; 2], j: u32| {
+            for (out, row) in next.iter_mut().zip(c) {
+                combine_halved(out, x, *row, j, m, n_prime, &mut t);
+            }
+            core::mem::swap(x, &mut next);
+        };
+        // Limbs at `n` and above are zero in both `u` and `v`.
+        let mut n = len;
+        // Which of `u`, `v` may be even; the other is odd.
+        let mut even = 0;
+        loop {
+            let w = &mut uv[even][..n];
+            while w[0] & 1 == 0 {
+                let s = w[0].trailing_zeros().min(INV_BATCH - j);
+                shr_small(w, s);
+                for e in &mut c[1 - even] {
+                    *e <<= s;
+                }
+                j += s;
+                if j == INV_BATCH {
+                    apply(&mut x, &c, j);
+                    (c, j) = ([[1, 0], [0, 1]], 0);
+                }
+            }
+            if w[0] == 1 && w[1..].iter().all(|&l| l == 0) {
+                apply(&mut x, &c, j);
+                let mut inv = BigUint {
+                    limbs: core::mem::take(&mut x[even]),
+                };
+                inv.normalize();
+                return Ok(inv);
+            }
+            even = usize::from(!ge_limbs(&uv[0][..n], &uv[1][..n]));
+            let [u, v] = &mut uv;
+            let (a, b) = if even == 0 { (u, v) } else { (v, u) };
+            sub_limbs_in_place(&mut a[..n], &b[..n]);
+            if a[..n].iter().all(|&l| l == 0) {
+                // u == v: the gcd is that odd value, and it is not 1.
+                return no_inverse;
+            }
+            let other = c[1 - even];
+            for (e, o) in c[even].iter_mut().zip(other) {
+                *e -= o;
+            }
+            while n > 1 && a[n - 1] == 0 && b[n - 1] == 0 {
+                n -= 1;
+            }
+        }
+    }
+
     /// The Jacobi symbol `(self / n)` for odd `n`: 1, -1, or 0 when they
     /// share a factor. For a prime `n` it is 1 exactly on the nonzero
     /// quadratic residues.
@@ -674,8 +767,15 @@ const WINDOW: usize = 4;
 
 /// Rows of a fixed-base comb. The exponent is cut into this many rows of
 /// equal width, and the table holds every product of the rows' leading
-/// powers: 2^TEETH entries, 8 KiB at 1024 bits.
-const TEETH: usize = 6;
+/// powers: 2^TEETH entries, 32 KiB at 1024 bits.
+///
+/// The height trades per-call work against a table built once per process:
+/// a call costs `⌈bits/TEETH⌉` squarings and as many multiplies at most,
+/// and the build `(TEETH - 1)·⌈bits/TEETH⌉` squarings and 2^TEETH
+/// multiplies. At 8 a 1024-bit exponent takes 128 columns (6 rows took
+/// 171) for ~25% more build work; 9 would save another 14 columns per
+/// call but double the table to 64 KiB and its build multiplies to 512.
+const TEETH: usize = 8;
 
 // A window never straddles two limbs.
 const _: () = assert!(64 % WINDOW == 0);
@@ -695,13 +795,7 @@ impl Montgomery {
     fn new(modulus: &BigUint) -> Self {
         debug_assert!(!modulus.is_even() && !modulus.is_zero());
         let n = modulus.limbs.clone();
-        // n' = -n^{-1} mod 2^64 by Newton iteration on the low limb.
-        let n0 = n[0];
-        let mut inv = 1u64;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
-        }
-        let n_prime = inv.wrapping_neg();
+        let n_prime = neg_inv_u64(n[0]);
         // R^2 mod n where R = 2^(64 * len).
         let mut r2 = BigUint::one()
             .shl(n.len() * 64 * 2)
@@ -723,6 +817,8 @@ impl Montgomery {
 
     /// `out = a · b · R^-1 mod n`: schoolbook product, then [`Self::redc`].
     fn mul_into(&self, out: &mut [u64], a: &[u64], b: &[u64], t: &mut [u64]) {
+        #[cfg(test)]
+        product_count::bump();
         let len = self.len();
         t.fill(0);
         for (i, &ai) in a.iter().enumerate() {
@@ -744,6 +840,8 @@ impl Montgomery {
     /// once and doubled, so the product costs about half of
     /// [`Self::mul_into`]'s.
     fn sqr_into(&self, out: &mut [u64], a: &[u64], t: &mut [u64]) {
+        #[cfg(test)]
+        product_count::bump();
         let len = self.len();
         t.fill(0);
         for (i, &ai) in a.iter().enumerate() {
@@ -990,6 +1088,86 @@ fn shr_to_odd(a: &mut [u64]) -> usize {
     limbs * 64 + bits
 }
 
+/// Halvings per batch of [`BigUint::mod_inv_odd`]: with `j ≤ 62` every
+/// matrix entry fits an `i64`, and `c·x` a limb plus 62 bits.
+const INV_BATCH: u32 = 62;
+
+/// `-n0^-1 mod 2^64` for odd `n0`, by Newton iteration (each step doubles
+/// the correct low bits).
+fn neg_inv_u64(n0: u64) -> u64 {
+    let mut inv = 1u64;
+    for _ in 0..6 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
+    }
+    inv.wrapping_neg()
+}
+
+/// `w >>= s` for `1 ≤ s < 64`.
+fn shr_small(w: &mut [u64], s: u32) {
+    for i in 0..w.len() {
+        let hi = w.get(i + 1).copied().unwrap_or(0);
+        w[i] = (w[i] >> s) | (hi << (64 - s));
+    }
+}
+
+/// `out = (c[0]·x[0] + c[1]·x[1]) / 2^j mod m` for `x[0], x[1] < m`, odd
+/// `m`, `j ≤ INV_BATCH` and `|c[0]| + |c[1]| ≤ 2^j`; `n_prime` is
+/// `-m^-1 mod 2^64` and `t` holds `len + 1` limbs of scratch.
+fn combine_halved(
+    out: &mut [u64],
+    x: &[Vec<u64>; 2],
+    c: [i64; 2],
+    j: u32,
+    m: &[u64],
+    n_prime: u64,
+    t: &mut [u64],
+) {
+    let len = m.len();
+    // t = c·x in two's complement; |c·x| < 2^j·m.
+    let mut carry = 0i128;
+    for i in 0..len {
+        let acc = c[0] as i128 * x[0][i] as i128 + c[1] as i128 * x[1][i] as i128 + carry;
+        t[i] = acc as u64;
+        carry = acc >> 64;
+    }
+    t[len] = carry as u64;
+    // Add μ·m with μ < 2^j, μ ≡ -t·m^-1 (mod 2^j): the low j bits cancel.
+    let mu = t[0].wrapping_mul(n_prime) & ((1u64 << j) - 1);
+    let mut carry = 0u128;
+    for i in 0..len {
+        let sum = t[i] as u128 + mu as u128 * m[i] as u128 + carry;
+        t[i] = sum as u64;
+        carry = sum >> 64;
+    }
+    t[len] = t[len].wrapping_add(carry as u64);
+    // The quotient lies in (-m, 2m): `top` is -1, 0 or 1 above `out`.
+    for i in 0..len {
+        out[i] = if j == 0 {
+            t[i]
+        } else {
+            (t[i] >> j) | (t[i + 1] << (64 - j))
+        };
+    }
+    let top = (t[len] as i64) >> j;
+    if top < 0 {
+        add_limbs_in_place(out, m);
+    } else if top > 0 || ge_limbs(out, m) {
+        sub_limbs_in_place(out, m);
+    }
+}
+
+/// Adds `b` to `a` in place, returning the final carry (0 or 1).
+fn add_limbs_in_place(a: &mut [u64], b: &[u64]) -> u64 {
+    let mut carry = 0u64;
+    for i in 0..a.len() {
+        let (s1, c1) = a[i].overflowing_add(b[i]);
+        let (s2, c2) = s1.overflowing_add(carry);
+        a[i] = s2;
+        carry = (c1 as u64) + (c2 as u64);
+    }
+    carry
+}
+
 /// Subtracts `b` from `a` in place, returning the final borrow (0 or 1).
 fn sub_limbs_in_place(a: &mut [u64], b: &[u64]) -> u64 {
     let mut borrow = 0u64;
@@ -1000,6 +1178,29 @@ fn sub_limbs_in_place(a: &mut [u64], b: &[u64]) -> u64 {
         borrow = (b1 as u64) + (b2 as u64);
     }
     borrow
+}
+
+/// Montgomery products (`mul_into` and `sqr_into` calls) on this thread:
+/// an exact proxy that lets tests pin an exponentiation's cost without a
+/// clock. Compiled into test builds only.
+#[cfg(test)]
+pub(crate) mod product_count {
+    use std::cell::Cell;
+
+    thread_local! {
+        static PRODUCTS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn bump() {
+        PRODUCTS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Runs `f`; returns its result and the products it took.
+    pub(crate) fn during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = PRODUCTS.with(Cell::get);
+        let out = f();
+        (out, PRODUCTS.with(Cell::get) - before)
+    }
 }
 
 #[cfg(test)]
@@ -1228,6 +1429,17 @@ mod tests {
         }
 
         #[test]
+        fn prop_binary_inverse_matches_euclid(
+            a in proptest::collection::vec(any::<u8>(), 0..40),
+            mut modbytes in proptest::collection::vec(any::<u8>(), 1..32),
+        ) {
+            *modbytes.last_mut().unwrap() |= 1;
+            let m = BigUint::from_bytes_be(&modbytes);
+            let x = BigUint::from_bytes_be(&a);
+            prop_assert_eq!(x.mod_inv_odd(&m).ok(), x.mod_inv(&m).ok());
+        }
+
+        #[test]
         fn prop_hex_roundtrip(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
             let n = BigUint::from_bytes_be(&bytes);
             prop_assert_eq!(BigUint::from_hex(&n.to_hex()).unwrap(), n);
@@ -1430,13 +1642,110 @@ pub(crate) mod full_size {
     #[test]
     fn fixed_base_matches_generic_on_an_arbitrary_base() {
         // The comb for a base other than the groups' generators, on a
-        // modulus whose bit length is not a multiple of TEETH.
-        let p = DhGroup::modp1024().p;
-        let (base, _) = random_cases(&p, 6, 1).remove(0);
-        let base = base.rem(&p).unwrap();
-        let comb = FixedBase::new(&base, &p);
-        for e in edge_exponents(&p) {
-            assert_eq!(comb.pow(&e), oracle(&base, &e, &p), "{e:?}");
+        // modulus whose bit length is not a multiple of TEETH: the odd
+        // 1023-bit (p - 1) / 2 of the 1024-bit group.
+        let q = DhGroup::modp1024().p.shr(1);
+        assert_ne!(q.bit_len() % TEETH, 0);
+        let (base, _) = random_cases(&q, 6, 1).remove(0);
+        let base = base.rem(&q).unwrap();
+        let comb = FixedBase::new(&base, &q);
+        for e in edge_exponents(&q) {
+            assert_eq!(comb.pow(&e), oracle(&base, &e, &q), "{e:?}");
+        }
+    }
+
+    #[test]
+    fn fixed_base_products_fit_the_column_budget() {
+        // A comb pow takes at most one squaring and one multiply per
+        // column: 2·⌈bits/8⌉ Montgomery products with 8 rows.
+        for p in builtin_primes() {
+            let comb = FixedBase::new(&BigUint::from_u64(4), &p);
+            let budget = 2 * p.bit_len().div_ceil(8) as u64;
+            let all_ones = BigUint::one().shl(p.bit_len()).checked_sub(&BigUint::one());
+            let exps = edge_exponents(&p).into_iter().chain(all_ones);
+            // Longer exponents than the modulus take the windowed path.
+            for e in exps.filter(|e| e.bit_len() <= p.bit_len()) {
+                let (_, products) = product_count::during(|| comb.pow(&e));
+                assert!(products <= budget, "{products} > {budget} for {e:?}");
+            }
+        }
+    }
+
+    /// `mod_inv_odd` against the Euclidean `mod_inv` at 1, 2, p - 2, p - 1,
+    /// 2^64 + 1 (a low limb of 1 is not yet 1) and seeded random values,
+    /// and an error at 0 and multiples of `p`.
+    fn binary_inverse_matches_euclid(p: &BigUint) {
+        let p_minus = |v: u64| p.checked_sub(&BigUint::from_u64(v)).unwrap();
+        let randoms = random_cases(p, 8, RANDOM_CASES).into_iter();
+        let edges = [
+            BigUint::one(),
+            BigUint::from_u64(2),
+            p_minus(2),
+            p_minus(1),
+            BigUint::one().shl(64).add(&BigUint::one()),
+        ];
+        let values = edges.into_iter().chain(randoms.map(|(a, _)| a));
+        for a in values {
+            let inv = a.mod_inv_odd(p).unwrap();
+            assert_eq!(inv, a.mod_inv(p).unwrap(), "{a:?}");
+            assert!(a.mod_mul(&inv, p).unwrap().is_one(), "{a:?}");
+        }
+        for a in [BigUint::zero(), p.clone(), p.shl(1), p.mul(p)] {
+            assert!(a.mod_inv_odd(p).is_err(), "{a:?}");
+        }
+    }
+
+    #[test]
+    fn binary_inverse_matches_euclid_768_1024() {
+        binary_inverse_matches_euclid(&DhGroup::modp768().p);
+        binary_inverse_matches_euclid(&DhGroup::modp1024().p);
+    }
+
+    #[test]
+    #[ignore = "1536/2048-bit oracle sweep; run with --include-ignored"]
+    fn binary_inverse_matches_euclid_1536_2048() {
+        binary_inverse_matches_euclid(&DhGroup::modp1536().p);
+        binary_inverse_matches_euclid(&DhGroup::modp2048().p);
+    }
+
+    #[test]
+    fn binary_inverse_rejects_shared_factors_and_even_moduli() {
+        let b = BigUint::from_u64;
+        // gcd(6, 9) = 3; 21 = 3·7 meets 15 = 3·5 only after a few steps.
+        assert!(b(6).mod_inv_odd(&b(9)).is_err());
+        assert!(b(21).mod_inv_odd(&b(15)).is_err());
+        assert!(b(3).mod_inv_odd(&b(1)).is_err());
+        assert!(b(3).mod_inv_odd(&b(10)).is_err());
+    }
+
+    #[test]
+    fn binary_inverse_matches_euclid_on_other_shapes() {
+        // A value with whole zero limbs below its top one.
+        let m = DhGroup::modp768().p;
+        let a = BigUint::from_u64(3).shl(64 * 5 + 1);
+        assert_eq!(a.mod_inv_odd(&m).unwrap(), a.mod_inv(&m).unwrap());
+        // Seeded odd moduli of 65 to 256 bits. The built-in primes sit just
+        // below 2^(64·len), so a batch quotient in [m, 2^(64·len)) that
+        // needs wrapping almost never occurs there; with a short top limb
+        // it does.
+        let mut rng = SecureRng::seed_from_u64(10);
+        for bits in 65..=256 {
+            let mut bytes = vec![0u8; 32];
+            rng.fill_bytes(&mut bytes);
+            let top = BigUint::one().shl(bits - 1);
+            let m = BigUint::from_bytes_be(&bytes).rem(&top).unwrap().add(&top);
+            let m = if m.is_even() {
+                m.add(&BigUint::one())
+            } else {
+                m
+            };
+            for (a, _) in random_cases(&m, bits as u64, 4) {
+                assert_eq!(
+                    a.mod_inv_odd(&m).ok(),
+                    a.mod_inv(&m).ok(),
+                    "{a:?} mod {m:?}"
+                );
+            }
         }
     }
 

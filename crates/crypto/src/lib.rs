@@ -32,7 +32,9 @@
 //! constant-time tag comparison and must not be used to protect real data.
 //! In particular, modular exponentiation branches on secret exponent bits,
 //! and its window and comb table lookups are indexed by them: a timing and
-//! cache channel of the same class, tolerable only in a simulator.
+//! cache channel of the same class, tolerable only in a simulator. The
+//! binary modular inverse is variable-time too, and is used on public
+//! inputs only (Schnorr verification's `y^e`).
 
 pub mod aes;
 pub mod bignum;

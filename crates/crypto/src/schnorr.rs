@@ -94,8 +94,10 @@ pub struct SigningKey {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerifyingKey {
     group: SchnorrGroup,
-    /// The public group element `y = g^x mod p`.
-    pub y: BigUint,
+    /// The public group element `y = g^x mod p`. Private, so that every
+    /// key holds an element [`SigningKey::generate`] or
+    /// [`VerifyingKey::from_bytes`] vetted.
+    y: BigUint,
 }
 
 /// A Schnorr signature in `(e, s)` form.
@@ -188,17 +190,31 @@ impl VerifyingKey {
         {
             return Err(CryptoError::VerificationFailed("signature scalar range"));
         }
-        // r' = g^s * y^(q - e) mod p  (y^-e == y^(q-e) since ord(y) | q)
-        let gs = g.pow_g(&sig.s)?;
-        let neg_e = g.q.checked_sub(&sig.e)?;
-        let ye = self.y.modexp(&neg_e, &g.p)?;
-        let r = gs.mod_mul(&ye, &g.p)?;
+        let r = self.commitment(sig)?;
         let e = g.challenge(&r, &self.y, msg)?;
         if e == sig.e {
             Ok(())
         } else {
             Err(CryptoError::VerificationFailed("Schnorr signature"))
         }
+    }
+
+    /// The signer's nonce commitment as `sig` claims it,
+    /// `r' = g^s · (y^e)^-1 mod p`.
+    ///
+    /// The textbook form `g^s · y^(q-e)` is the same value for every `y` of
+    /// order `q`, which is every key this type can hold, but its exponent
+    /// has the length of `q`; `e` is a SHA-256 digest of at most 256 bits.
+    /// The inverse is of public values, so its variable time leaks nothing.
+    fn commitment(&self, sig: &Signature) -> Result<BigUint> {
+        let g = &self.group;
+        let gs = g.pow_g(&sig.s)?;
+        let ye_inv = self
+            .y
+            .modexp(&sig.e, &g.p)?
+            .mod_inv_odd(&g.p)
+            .map_err(|_| CryptoError::VerificationFailed("public key not invertible"))?;
+        gs.mod_mul(&ye_inv, &g.p)
     }
 
     /// Serialises the public element, padded to the group size.
@@ -209,11 +225,12 @@ impl VerifyingKey {
 
     /// Reconstructs a verifying key from bytes in a known group.
     ///
-    /// Accepts only elements of the order-`q` subgroup other than 1:
-    /// [`VerifyingKey::verify`] relies on `ord(y) | q`, and `y = 1` would
-    /// accept any `(e, s)` with `e = H(g^s ‖ 1 ‖ msg)`. With `p` a safe
-    /// prime that subgroup is the quadratic residues, so a Jacobi symbol
-    /// decides membership without an exponentiation.
+    /// Accepts only elements of the order-`q` subgroup other than 1: only
+    /// they are some `g^x`, a key anyone could sign for, and on them
+    /// [`VerifyingKey::verify`]'s `y^-e` equals the textbook `y^(q-e)`;
+    /// `y = 1` would accept any `(e, s)` with `e = H(g^s ‖ 1 ‖ msg)`. With
+    /// `p` a safe prime that subgroup is the quadratic residues, so a
+    /// Jacobi symbol decides membership without an exponentiation.
     pub fn from_bytes(group: &SchnorrGroup, bytes: &[u8]) -> Result<Self> {
         let y = BigUint::from_bytes_be(bytes);
         if y.is_zero() || y.is_one() || y.cmp_to(&group.p) != core::cmp::Ordering::Less {
@@ -235,6 +252,116 @@ impl VerifyingKey {
 mod tests {
     use super::*;
     use crate::bignum::full_size::{edge_exponents, oracle, random_cases, RANDOM_CASES};
+    use crate::bignum::product_count;
+
+    /// The textbook commitment `g^s · y^(q-e) mod p` that
+    /// [`VerifyingKey::commitment`] replaced, kept as its oracle.
+    fn commitment_oracle(key: &VerifyingKey, sig: &Signature) -> BigUint {
+        let g = &key.group;
+        let neg_e = g.q.checked_sub(&sig.e).unwrap();
+        let gs = g.g.modexp(&sig.s, &g.p).unwrap();
+        gs.mod_mul(&key.y.modexp(&neg_e, &g.p).unwrap(), &g.p)
+            .unwrap()
+    }
+
+    /// [`VerifyingKey::verify`] on [`commitment_oracle`].
+    fn verify_oracle(key: &VerifyingKey, msg: &[u8], sig: &Signature) -> bool {
+        let g = &key.group;
+        sig.s < g.q && sig.e < g.q && {
+            let r = commitment_oracle(key, sig);
+            g.challenge(&r, &key.y, msg).unwrap() == sig.e
+        }
+    }
+
+    /// Honest, tampered and forged signatures under a fresh key in
+    /// `group`: `verify` must accept and reject exactly as the oracle does,
+    /// on the same commitment wherever the scalars are in range.
+    fn verify_matches_oracle(group: &SchnorrGroup) {
+        let mut rng = SecureRng::seed_from_u64(group.p.bit_len() as u64);
+        let key = SigningKey::generate(group, &mut rng).unwrap();
+        let one = BigUint::one();
+        let q_minus_1 = group.q.checked_sub(&one).unwrap();
+        let msg = b"quote body";
+        let mut cases = Vec::new();
+        for i in 0..4u8 {
+            let sig = key.sign(&[i], &mut rng).unwrap();
+            cases.push((vec![i], sig.clone(), true));
+            cases.push((vec![i, 0], sig.clone(), false));
+            let s = sig.s.mod_add(&one, &group.q).unwrap();
+            cases.push((vec![i], Signature { s, ..sig }, false));
+        }
+        let honest = key.sign(msg, &mut rng).unwrap();
+        // Forged challenges: 0, 1, q - 1, and ones longer than a digest,
+        // whose commitments must still be exact.
+        let long = [honest.e.shl(300), q_minus_1.shr(1)];
+        let forged_e = [BigUint::zero(), one.clone(), q_minus_1.clone()]
+            .into_iter()
+            .chain(long);
+        for e in forged_e {
+            assert!(e < group.q);
+            let sig = Signature {
+                e,
+                s: honest.s.clone(),
+            };
+            cases.push((msg.to_vec(), sig, false));
+        }
+        for (e, s) in [
+            (honest.e.clone(), group.q.clone()),
+            (group.q.clone(), honest.s.clone()),
+            (group.q.add(&one), BigUint::zero()),
+        ] {
+            cases.push((msg.to_vec(), Signature { e, s }, false));
+        }
+        cases.push((msg.to_vec(), honest, true));
+        for (msg, sig, valid) in &cases {
+            let verdict = key.public.verify(msg, sig).is_ok();
+            assert_eq!(verdict, *valid, "{sig:?}");
+            assert_eq!(verdict, verify_oracle(&key.public, msg, sig), "{sig:?}");
+            if sig.s < group.q && sig.e < group.q {
+                assert_eq!(
+                    key.public.commitment(sig).unwrap(),
+                    commitment_oracle(&key.public, sig),
+                    "{sig:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn verify_matches_oracle_768_1024() {
+        verify_matches_oracle(&SchnorrGroup::small());
+        verify_matches_oracle(&SchnorrGroup::standard());
+    }
+
+    #[test]
+    #[ignore = "1536/2048-bit oracle sweep; run with --include-ignored"]
+    fn verify_matches_oracle_1536_2048() {
+        verify_matches_oracle(&SchnorrGroup::from_dh_group(&DhGroup::modp1536()));
+        verify_matches_oracle(&SchnorrGroup::from_dh_group(&DhGroup::modp2048()));
+    }
+
+    #[test]
+    fn verify_products_fit_the_short_exponent_budget() {
+        // Montgomery products per verify: y^(q-e) took ~1,230 at 768 bits
+        // and ~1,630 at 1024. A full-length exponent back in `verify`
+        // fails here.
+        for (group, budget) in [
+            (SchnorrGroup::small(), 560),
+            (SchnorrGroup::standard(), 650),
+        ] {
+            let mut rng = SecureRng::seed_from_u64(5);
+            // Key generation builds the generator's comb table.
+            let key = SigningKey::generate(&group, &mut rng).unwrap();
+            let sig = key.sign(b"msg", &mut rng).unwrap();
+            let (verdict, products) = product_count::during(|| key.public.verify(b"msg", &sig));
+            verdict.unwrap();
+            assert!(
+                products <= budget,
+                "{products} > {budget} at {}",
+                group.p.bit_len()
+            );
+        }
+    }
 
     #[test]
     fn pow_g_matches_generic_on_builtin_groups() {

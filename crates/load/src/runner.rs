@@ -494,7 +494,7 @@ impl WorkerPool {
     fn reset(&mut self, workers: u32) {
         let mut v = std::mem::take(&mut self.0).into_vec();
         v.clear();
-        v.extend((0..workers.max(1)).map(|i| Reverse((SimTime::ZERO, i))));
+        v.extend((0..workers).map(|i| Reverse((SimTime::ZERO, i))));
         self.0 = BinaryHeap::from(v);
     }
 
@@ -550,7 +550,17 @@ impl LoadRunner {
         LoadRunner { config }
     }
 
-    pub(crate) fn config(&self) -> &LoadConfig {
+    /// The config, checked before a run of `calibration`: panics, with the
+    /// [`LoadError`] text, on a config [`LoadConfig::validate`] rejects and
+    /// on a calibration with no op.
+    pub(crate) fn checked_config(&self, calibration: &Calibration) -> &LoadConfig {
+        assert!(
+            !calibration.ops.is_empty(),
+            "calibration must contain at least one op"
+        );
+        if let Err(e) = self.config.validate() {
+            panic!("{e}");
+        }
         &self.config
     }
 
@@ -558,6 +568,12 @@ impl LoadRunner {
     /// config through the streaming engine and returns the full report.
     /// `scenario` names the run. Memory is O(live sessions), not
     /// O(`sessions`).
+    ///
+    /// # Panics
+    ///
+    /// On a config [`LoadConfig::validate`] rejects, with its error's
+    /// text, and on a calibration with no op. The same holds for every
+    /// `run*` method.
     pub fn run(&self, scenario: &str, calibration: &Calibration) -> RunReport {
         self.run_with_stats(scenario, calibration).0
     }
@@ -569,11 +585,7 @@ impl LoadRunner {
         scenario: &str,
         calibration: &Calibration,
     ) -> (RunReport, EngineStats) {
-        assert!(
-            !calibration.ops.is_empty(),
-            "calibration must contain at least one op"
-        );
-        let cfg = &self.config;
+        let cfg = self.checked_config(calibration);
         let model = calibration.cost_model();
         let mut engine = Engine::new(cfg, calibration, &model);
         engine.prime();
@@ -602,11 +614,7 @@ impl LoadRunner {
         scenario: &str,
         calibration: &Calibration,
     ) -> Result<(RunReport, EngineStats), LoadError> {
-        assert!(
-            !calibration.ops.is_empty(),
-            "calibration must contain at least one op"
-        );
-        let cfg = &self.config;
+        let cfg = self.checked_config(calibration);
         let model = calibration.cost_model();
         let mut engine = Engine::new_reference(cfg, calibration, &model)?;
         engine.prime();
@@ -664,13 +672,12 @@ impl<'a> Engine<'a> {
         // the one remaining O(total packets) buffer in a streaming run.
         net.set_tracing(false);
         let server = net.add_node();
-        let clients = cfg.clients.max(1);
         let link = LinkConfig {
             latency: cfg.latency,
             bandwidth_bps: cfg.bandwidth_bps,
             faults: cfg.faults.clone(),
         };
-        let client_nodes: Vec<NodeId> = (0..clients)
+        let client_nodes: Vec<NodeId> = (0..cfg.clients)
             .map(|_| {
                 let c = net.add_node();
                 net.add_duplex_link(c, server, link.clone());
@@ -1097,9 +1104,7 @@ fn arrival_process(
         LoadMode::Open { .. } => Arrival::OpenLoop {
             rate_per_sec: effective_rate(cfg, cal, model),
         },
-        LoadMode::Closed { concurrency } => Arrival::ClosedLoop {
-            concurrency: concurrency.max(1),
-        },
+        LoadMode::Closed { concurrency } => Arrival::ClosedLoop { concurrency },
     };
     ArrivalProcess::seeded(kind, cfg.sessions, seed)
 }
@@ -1124,7 +1129,7 @@ pub(crate) fn report_from_metrics(
     let total_cycles = total.cycles(model);
     let (mode, rate, concurrency) = match cfg.mode {
         LoadMode::Open { .. } => ("open", effective_rate(cfg, cal, model), 0u32),
-        LoadMode::Closed { concurrency } => ("closed", 0.0, concurrency.max(1)),
+        LoadMode::Closed { concurrency } => ("closed", 0.0, concurrency),
     };
     RunReport {
         scenario: scenario.to_string(),
@@ -1168,7 +1173,7 @@ pub(crate) fn effective_rate(cfg: &LoadConfig, cal: &Calibration, model: &CostMo
             if busy_ns == 0 {
                 1_000.0
             } else {
-                0.5 * cfg.workers.max(1) as f64 / (busy_ns as f64 / 1e9)
+                0.5 * cfg.workers as f64 / (busy_ns as f64 / 1e9)
             }
         }
         LoadMode::Closed { .. } => 0.0,
@@ -1656,6 +1661,73 @@ mod tests {
     #[test]
     fn validate_rejects_a_bad_reorder_chance() {
         assert_probability_checked("faults.reorder_chance");
+    }
+
+    /// Runs `valid_config()` broken by `breaks` on the streaming engine.
+    fn run_broken(breaks: impl FnOnce(&mut LoadConfig)) {
+        let mut cfg = valid_config();
+        breaks(&mut cfg);
+        LoadRunner::new(cfg).run("toy", &toy_calibration());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid load config: rate_per_sec must be a finite number above 0")]
+    fn run_refuses_a_bad_rate() {
+        run_broken(|cfg| {
+            cfg.mode = LoadMode::Open {
+                rate_per_sec: Some(0.0),
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid load config: concurrency must be at least 1")]
+    fn run_refuses_zero_concurrency() {
+        run_broken(|cfg| cfg.mode = LoadMode::Closed { concurrency: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid load config: workers must be at least 1")]
+    fn run_refuses_zero_workers() {
+        run_broken(|cfg| cfg.workers = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid load config: clients must be at least 1")]
+    fn run_refuses_zero_clients() {
+        run_broken(|cfg| cfg.clients = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid load config: faults.drop_chance must be")]
+    fn run_refuses_a_bad_drop_chance() {
+        run_broken(|cfg| set_fault(cfg, "faults.drop_chance", 1.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid load config: faults.corrupt_chance must be")]
+    fn run_refuses_a_bad_corrupt_chance() {
+        run_broken(|cfg| set_fault(cfg, "faults.corrupt_chance", -0.1));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid load config: faults.duplicate_chance must be")]
+    fn run_refuses_a_bad_duplicate_chance() {
+        run_broken(|cfg| set_fault(cfg, "faults.duplicate_chance", f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid load config: faults.reorder_chance must be")]
+    fn run_refuses_a_bad_reorder_chance() {
+        run_broken(|cfg| set_fault(cfg, "faults.reorder_chance", 2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid load config: workers must be at least 1")]
+    fn run_reference_refuses_an_invalid_config() {
+        let mut cfg = valid_config();
+        cfg.workers = 0;
+        let _ = LoadRunner::new(cfg).run_reference("toy", &toy_calibration());
     }
 
     fn fresh_session() -> Session {

@@ -69,12 +69,11 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// A plan splitting `sessions` across `shards` threads (clamped ≥ 1).
+    /// A plan splitting `sessions` across `shards` threads. Panics on
+    /// zero shards.
     pub fn new(sessions: u64, shards: u32) -> Self {
-        ShardPlan {
-            sessions,
-            shards: shards.max(1),
-        }
+        assert!(shards >= 1, "a shard plan needs at least 1 shard");
+        ShardPlan { sessions, shards }
     }
 
     /// The contiguous session-index range shard `shard` replays.
@@ -124,7 +123,7 @@ fn run_shard(
     range: Range<u64>,
 ) -> ShardResult {
     let (mut lane_busy, mut arrivals) = match cfg.mode {
-        LoadMode::Closed { concurrency } => (vec![0u64; concurrency.max(1) as usize], None),
+        LoadMode::Closed { concurrency } => (vec![0u64; concurrency as usize], None),
         LoadMode::Open { .. } => {
             // Re-derive the global Poisson schedule (same fork the serial
             // engine uses) and position it at this shard's first index.
@@ -178,7 +177,7 @@ fn run_shard(
 fn merge_shards(cfg: &LoadConfig, results: &[ShardResult]) -> RunMetrics {
     let mut metrics = RunMetrics::new();
     let mut lane_busy = match cfg.mode {
-        LoadMode::Closed { concurrency } => vec![0u64; concurrency.max(1) as usize],
+        LoadMode::Closed { concurrency } => vec![0u64; concurrency as usize],
         LoadMode::Open { .. } => Vec::new(),
     };
     let mut last_completion = 0u64;
@@ -205,17 +204,15 @@ impl LoadRunner {
     /// index blocks, and the associative/commutative metric merges are
     /// applied in fixed shard order. Memory is O(shards · live state per
     /// shard) — no per-session array exists anywhere in the path.
+    ///
+    /// Panics as [`LoadRunner::run`] does, and on zero `n_threads`.
     pub fn run_sharded(
         &self,
         scenario: &str,
         calibration: &Calibration,
         n_threads: u32,
     ) -> RunReport {
-        assert!(
-            !calibration.ops.is_empty(),
-            "calibration must contain at least one op"
-        );
-        let cfg = self.config();
+        let cfg = self.checked_config(calibration);
         let model = &calibration.cost_model();
         let plan = ShardPlan::new(cfg.sessions, n_threads);
 
@@ -308,6 +305,26 @@ mod tests {
             }
             assert_eq!(next, sessions);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a shard plan needs at least 1 shard")]
+    fn plan_refuses_zero_shards() {
+        ShardPlan::new(10, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "a shard plan needs at least 1 shard")]
+    fn run_sharded_refuses_zero_shards() {
+        let cfg = LoadConfig::new(4, 1, LoadMode::Closed { concurrency: 1 });
+        LoadRunner::new(cfg).run_sharded("toy", &toy_calibration(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid load config: concurrency must be at least 1")]
+    fn run_sharded_refuses_an_invalid_config() {
+        let cfg = LoadConfig::new(4, 1, LoadMode::Closed { concurrency: 0 });
+        LoadRunner::new(cfg).run_sharded("toy", &toy_calibration(), 2);
     }
 
     #[test]
