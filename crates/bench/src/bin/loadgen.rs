@@ -11,12 +11,10 @@
 //! concurrency, with optional link fault injection. Same scenario + seed
 //! ⇒ byte-identical `--json` output.
 //!
-//! The default engine is the streaming one — sessions generated lazily
-//! and retired as they finish, memory O(live sessions) — so `--sessions
-//! 1000000` runs in a few megabytes of RSS. `--reference` switches to the
-//! retained oracle engine (every session materialised, O(sessions)
-//! memory), whose reports are byte-identical; CI diffs the two. `--rss`
-//! prints the process's peak RSS to stderr after the run.
+//! The serial engine streams — sessions generated lazily and retired as
+//! they finish, memory O(live sessions) — so `--sessions 1000000` runs in
+//! a few megabytes of RSS. `--rss` prints the process's peak RSS to
+//! stderr after the run.
 //!
 //! `--shards N` switches to the sharded replay model (`teenet-load`'s
 //! [`shard`](teenet_load::shard) module): sessions replay independently
@@ -72,9 +70,6 @@ OPTIONS:
     --shards <n>           replay with the sharded model across n OS
                            threads (report byte-identical for every n;
                            default: the serial streaming engine)
-    --reference            serial runs only: use the retained reference
-                           engine (O(sessions) memory) instead of the
-                           streaming one — reports are byte-identical
     --rss                  print `peak_rss_bytes=<n>` (VmHWM) to stderr
                            after the run
     --bench <path>         time a 1-shard vs --shards run of the sharded
@@ -103,7 +98,6 @@ struct Args {
     spin_budget: u32,
     backend: TeeBackend,
     shards: Option<u32>,
-    reference: bool,
     rss: bool,
     bench: Option<String>,
     json: bool,
@@ -130,7 +124,6 @@ impl Default for Args {
             spin_budget: 0,
             backend: TeeBackend::Sgx,
             shards: None,
-            reference: false,
             rss: false,
             bench: None,
             json: false,
@@ -171,7 +164,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .ok_or_else(|| format!("bad value for --backend: {raw} (sgx or vmtee)"))?;
             }
             "--shards" => args.shards = Some(parse(value("--shards")?, "--shards")?),
-            "--reference" => args.reference = true,
             "--rss" => args.rss = true,
             "--bench" => args.bench = Some(value("--bench")?.clone()),
             "--json" => args.json = true,
@@ -241,10 +233,6 @@ fn main() -> ExitCode {
         eprintln!("error: --scenario is required (one of {NAMES:?})\n\n{USAGE}");
         return ExitCode::FAILURE;
     };
-    if args.reference && (args.shards.is_some() || args.bench.is_some()) {
-        eprintln!("error: --reference is the serial oracle engine; it cannot combine with --shards/--bench");
-        return ExitCode::FAILURE;
-    }
     let transition_mode = if args.switchless {
         TransitionMode::Switchless
     } else {
@@ -365,13 +353,6 @@ fn main() -> ExitCode {
             }
             report
         }
-        None if args.reference => match runner.run_reference(scenario.name(), &calibration) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
         None => runner.run(scenario.name(), &calibration),
     };
     if args.json {

@@ -42,3 +42,11 @@ fn a_valid_run_still_succeeds() {
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains("\"completed\":5"), "{stdout}");
 }
+
+#[test]
+fn the_retired_reference_flag_is_rejected() {
+    let (code, stdout, stderr) = loadgen(&["--reference"]);
+    assert_ne!(code, Some(0), "{stderr}");
+    assert!(stdout.is_empty(), "printed a report: {stdout}");
+    assert!(stderr.contains("unknown flag: --reference"), "{stderr}");
+}

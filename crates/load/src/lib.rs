@@ -30,8 +30,8 @@
 //!   queueing), timeouts, and deterministic event ordering. Sessions are
 //!   generated lazily and retired into a recycled slab as they finish, so
 //!   memory is O(live sessions) — a million-session run fits in a bounded
-//!   footprint. A retained reference engine
-//!   ([`LoadRunner::run_reference`]) is kept as the byte-identity oracle.
+//!   footprint. Its oracle is an independent naive simulator in the
+//!   workspace tests (`tests/support/naive_replay.rs`).
 //! * [`shard`] — the sharded replay model: per-session independent
 //!   replay partitioned across OS threads, with reports byte-identical
 //!   for every thread count.

@@ -12,45 +12,39 @@
 //!
 //! Request/response integrity: each datagram carries a checksummed header
 //! `(session, op, attempt)`, zero-padded to the op's calibrated wire size.
-//! The streaming engine sends only the header and leaves the padding to
-//! [`Network::send_padded`], which never materialises it; the retained
-//! reference engine sends the full frame. Corrupted datagrams fail the
-//! check and are discarded at the receiver; the client's retransmission
-//! timeout recovers them, exactly like drops. The server keeps an idempotent-response
-//! cache per session so a retransmitted request whose response was lost
-//! does not pay the service cost twice.
+//! The engine sends only the header and leaves the padding to
+//! [`Network::send_padded`], which never materialises it. Corrupted
+//! datagrams fail the check and are discarded at the receiver; the
+//! client's retransmission timeout recovers them, exactly like drops. The
+//! server keeps an idempotent-response cache per session so a
+//! retransmitted request whose response was lost does not pay the
+//! service cost twice.
 //!
-//! ## Streaming vs. reference replay
+//! ## Streaming replay
 //!
-//! The default engine is *streaming*: sessions are generated lazily from
-//! the arrival process, live in a recycled slab of slots sized by the
-//! number of *concurrently live* sessions, and are retired (slot
-//! returned to the pool) the moment they complete or fail.
-//! Open-loop arrivals are scheduled one at a time — only the next pending
-//! arrival ever sits in the heap — so driving N sessions costs
-//! O(live sessions) memory, not O(N). A live session is addressed by a
-//! generation-tagged slot handle, carried in its events and wire headers;
-//! retiring a slot bumps its generation, so stale events and packets miss
-//! just as the retained engine's finished-session guards drop them.
-//! Nothing observable depends on the handle's value, so reports are
-//! byte-identical to the retained engine's.
+//! Sessions are generated lazily from the arrival process, live in a
+//! recycled slab of slots sized by the number of *concurrently live*
+//! sessions, and are retired (slot returned to the pool) the moment they
+//! complete or fail. Open-loop arrivals are scheduled one at a time —
+//! only the next pending arrival ever sits in the heap — so driving N
+//! sessions costs O(live sessions) memory, not O(N). A live session is
+//! addressed by a generation-tagged slot handle, carried in its events
+//! and wire headers; retiring a slot bumps its generation, so stale
+//! events and packets for a finished session miss. Nothing observable
+//! depends on the handle's value.
 //!
-//! [`LoadRunner::run_reference`] keeps the pre-streaming *retained*
-//! engine: every session materialised in a `Vec` for the whole run and
-//! every open-loop arrival heap-loaded at t=0. It exists as the
-//! equivalence oracle (`tests/loadgen_streaming_equiv.rs` and the
-//! proptest below hold the two byte-identical) and costs O(N) memory by
-//! design.
+//! Driver events order by `(time, seq)`. Open-loop arrival `i` is pinned
+//! to seq `i`, and the counter for every other event starts at
+//! `sessions`, so the order is the one a heap loaded with every arrival
+//! up front would give: arrival times strictly increase, so arrival
+//! `i+1` is always scheduled (while handling arrival `i`) before any
+//! event ordered after it can fire.
 //!
-//! Event-order equivalence of the two paths is by construction: driver
-//! events order by `(time, seq)`, and both paths assign the *same* seq to
-//! every event. Open-loop arrival `i` always gets seq `i` (the retained
-//! path pushes all arrivals first, so its running counter hands arrival
-//! `i` exactly `i`; the streaming path pins it explicitly) and both paths
-//! start the shared counter for non-arrival events at `sessions`. Since
-//! arrival times strictly increase, arrival `i+1` is always scheduled
-//! (while handling arrival `i`) before any event ordered after it can
-//! fire, so lazy insertion never reorders the heap.
+//! `tests/support/naive_replay.rs` holds an independent, deliberately
+//! naive simulator of the same system (every session in a `Vec`, every
+//! arrival and timeout in one heap, a linear worker scan, full frames on
+//! the wire); the integration tests hold this engine's reports
+//! byte-identical to it.
 //!
 //! ## The timeout FIFO
 //!
@@ -182,18 +176,9 @@ impl LoadConfig {
     }
 }
 
-/// A load run that cannot start on this target.
+/// A load run that cannot start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadError {
-    /// The retained reference engine must materialise every session in
-    /// one `Vec`, so the session count has to fit the target's address
-    /// space. On 32-bit targets a >4G count used to wrap silently in an
-    /// `as usize` cast; it is now rejected up front. The streaming engine
-    /// has no such limit — its memory scales with *live* sessions only.
-    SessionCountOverflow {
-        /// The requested session count.
-        sessions: u64,
-    },
     /// A [`LoadConfig`] field holds a value no run can use (see
     /// [`LoadConfig::validate`]).
     InvalidConfig {
@@ -207,12 +192,6 @@ pub enum LoadError {
 impl fmt::Display for LoadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LoadError::SessionCountOverflow { sessions } => write!(
-                f,
-                "{sessions} sessions cannot be materialised by the retained reference \
-                 engine on this target (usize is {} bits); use the streaming engine",
-                usize::BITS
-            ),
             LoadError::InvalidConfig { field, requirement } => {
                 write!(f, "invalid load config: {field} must be {requirement}")
             }
@@ -303,14 +282,6 @@ fn header(key: u64, op: u32, attempt: u32) -> [u8; HEADER_LEN] {
     h
 }
 
-/// The full frame: the header zero-padded to `len` bytes (never shorter
-/// than the header) — the retained reference engine's path.
-fn encode(key: u64, op: u32, attempt: u32, len: usize) -> Vec<u8> {
-    let mut buf = header(key, op, attempt).to_vec();
-    buf.resize(len.max(HEADER_LEN), 0);
-    buf
-}
-
 fn decode(buf: &[u8]) -> Option<(u64, u32, u32)> {
     if buf.len() < HEADER_LEN {
         return None;
@@ -326,23 +297,19 @@ fn decode(buf: &[u8]) -> Option<(u64, u32, u32)> {
 }
 
 /// Peak-resource diagnostics of one engine run. Never part of the
-/// [`RunReport`] (reports stay byte-identical across engine paths); used
-/// by the retirement and heap-bound regression tests and by callers that
-/// want to confirm a run stayed O(live sessions).
+/// [`RunReport`]; used by the retirement and heap-bound regression tests
+/// and by callers that want to confirm a run stayed O(live sessions).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Most sessions ever live at once. Streaming: live slab entries
-    /// (bounded by concurrency + in-flight arrivals). Retained reference:
-    /// every arrived session stays live, so this reaches the session
-    /// count.
+    /// Most sessions ever live at once: live slab entries, bounded by
+    /// concurrency + in-flight arrivals.
     pub peak_live_sessions: u64,
     /// Most driver events (arrivals, service completions, timeouts) ever
-    /// queued at once, heap and timeout FIFO together. Streaming open
-    /// loop holds a single pending arrival plus O(live) timeouts; the
-    /// retained path heap-loads every arrival at t=0.
+    /// queued at once, heap and timeout FIFO together. Open loop holds a
+    /// single pending arrival plus O(live) timeouts.
     pub peak_heap_events: u64,
-    /// Distinct session slots ever allocated (streaming only): how well
-    /// retirement recycles. Retained reference reports 0.
+    /// Distinct session slots ever allocated: how well retirement
+    /// recycles.
     pub slots_allocated: u64,
 }
 
@@ -354,126 +321,97 @@ struct Slot {
     sess: Session,
 }
 
-/// The streaming table's key for `slot` in `generation`: the slot index
-/// in the low 32 bits, the generation in the high 32.
+/// The key of `slot` in `generation`: the slot index in the low 32
+/// bits, the generation in the high 32.
 fn slot_handle(slot: u32, generation: u32) -> u64 {
     u64::from(slot) | u64::from(generation) << 32
 }
 
-/// Where the engine keeps session state: the streaming slab (O(live))
-/// or the retained reference `Vec` (O(total), kept as the equivalence
-/// oracle for the streaming path).
+/// The slab of live sessions, in recycled slots.
 ///
 /// Sessions are found by a `u64` key, which driver events and wire
-/// headers carry. The retained table's key is the global session index.
-/// The slab's is a generation-tagged slot handle ([`slot_handle`]):
-/// retiring a slot bumps its generation, so a stale event or packet for
-/// a retired session misses exactly as the retained table's `done` /
-/// `failed` guards drop it, even after a new session took the slot.
-enum SessionTable {
-    Retained(Vec<Session>),
-    Slab {
-        slots: Vec<Slot>,
-        free: Vec<u32>,
-        live: u64,
-    },
+/// headers carry: a generation-tagged slot handle ([`slot_handle`]).
+/// Retiring a slot bumps its generation, so a stale event or packet for
+/// a retired session misses, even after a new session took the slot.
+#[derive(Default)]
+struct SessionTable {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    live: u64,
 }
 
 impl SessionTable {
-    /// Inserts newly arrived session `id`; returns its key and the live
+    /// Inserts a newly arrived session; returns its key and the live
     /// count after.
-    fn insert(&mut self, id: u64, sess: Session, allocated: &mut u64) -> (u64, u64) {
-        match self {
-            SessionTable::Retained(v) => {
-                debug_assert_eq!(v.len() as u64, id);
-                v.push(sess);
-                (id, v.len() as u64)
+    fn insert(&mut self, sess: Session, allocated: &mut u64) -> (u64, u64) {
+        let slot = match self.free.pop() {
+            Some(i) => {
+                self.slots[i as usize].sess = sess;
+                i
             }
-            SessionTable::Slab { slots, free, live } => {
-                let slot = match free.pop() {
-                    Some(i) => {
-                        slots[i as usize].sess = sess;
-                        i
-                    }
-                    None => {
-                        *allocated += 1;
-                        slots.push(Slot {
-                            generation: 0,
-                            sess,
-                        });
-                        (slots.len() - 1) as u32
-                    }
-                };
-                *live += 1;
-                (slot_handle(slot, slots[slot as usize].generation), *live)
+            None => {
+                *allocated += 1;
+                self.slots.push(Slot {
+                    generation: 0,
+                    sess,
+                });
+                (self.slots.len() - 1) as u32
             }
-        }
+        };
+        self.live += 1;
+        (
+            slot_handle(slot, self.slots[slot as usize].generation),
+            self.live,
+        )
     }
 
-    /// The slab slot `key` names, if its generation is current.
-    fn slot(slots: &[Slot], key: u64) -> Option<usize> {
+    /// The slot `key` names, if its generation is current.
+    fn slot(&self, key: u64) -> Option<usize> {
         let slot = key as u32 as usize;
         let generation = (key >> 32) as u32;
-        slots
+        self.slots
             .get(slot)
             .filter(|s| s.generation == generation)
             .map(|_| slot)
     }
 
     fn get(&self, key: u64) -> Option<&Session> {
-        match self {
-            SessionTable::Retained(v) => usize::try_from(key).ok().and_then(|i| v.get(i)),
-            SessionTable::Slab { slots, .. } => Self::slot(slots, key).map(|i| &slots[i].sess),
-        }
+        self.slot(key).map(|i| &self.slots[i].sess)
     }
 
     fn get_mut(&mut self, key: u64) -> Option<&mut Session> {
-        match self {
-            SessionTable::Retained(v) => usize::try_from(key).ok().and_then(|i| v.get_mut(i)),
-            SessionTable::Slab { slots, .. } => Self::slot(slots, key).map(|i| &mut slots[i].sess),
-        }
+        self.slot(key).map(|i| &mut self.slots[i].sess)
     }
 
-    /// Frames a `len`-byte message for `key`: the bytes to send and the
-    /// zero padding [`Network::send_padded`] appends on the wire.
-    /// Streaming: the header alone, so no padding is ever allocated.
-    /// Retained: the fully materialised frame with no padding, so
-    /// streaming ≡ reference also checks the padding against real zeros.
+    /// Frames a `len`-byte message for `key`: the header to send and the
+    /// zero padding [`Network::send_padded`] appends on the wire, so no
+    /// padding is ever allocated.
     fn frame(&self, key: u64, op: u32, attempt: u32, len: usize) -> Option<(Bytes, usize)> {
-        match self {
-            SessionTable::Retained(_) => Some((Bytes::from(encode(key, op, attempt, len)), 0)),
-            SessionTable::Slab { slots, .. } => {
-                Self::slot(slots, key)?;
-                let padding = len.saturating_sub(HEADER_LEN);
-                Some((Bytes::from(header(key, op, attempt)), padding))
-            }
-        }
+        self.slot(key)?;
+        let padding = len.saturating_sub(HEADER_LEN);
+        Some((Bytes::from(header(key, op, attempt)), padding))
     }
 
     /// Returns a finished session's slot to the pool and bumps its
     /// generation: events and packets still carrying the old handle miss
-    /// from now on. No-op for the retained table.
+    /// from now on.
     fn retire(&mut self, key: u64) {
-        if let SessionTable::Slab { slots, free, live } = self {
-            if let Some(i) = Self::slot(slots, key) {
-                let s = &mut slots[i];
-                s.generation = s.generation.wrapping_add(1);
-                free.push(i as u32);
-                *live -= 1;
-            }
+        if let Some(i) = self.slot(key) {
+            let s = &mut self.slots[i];
+            s.generation = s.generation.wrapping_add(1);
+            self.free.push(i as u32);
+            self.live -= 1;
         }
     }
 
     /// Retires every slot at once (the pooled sharded engine's rewind).
     fn clear(&mut self) {
-        if let SessionTable::Slab { slots, free, live } = self {
-            free.clear();
-            for (i, s) in slots.iter_mut().enumerate() {
-                s.generation = s.generation.wrapping_add(1);
-                free.push(i as u32);
-            }
-            *live = 0;
+        self.free.clear();
+        for (i, s) in self.slots.iter_mut().enumerate() {
+            s.generation = s.generation.wrapping_add(1);
+            self.free.push(i as u32);
         }
+        self.live = 0;
     }
 }
 
@@ -530,9 +468,6 @@ pub(crate) struct Engine<'a> {
     timeouts: VecDeque<Timeout>,
     next_seq: u64,
     table: SessionTable,
-    /// Streaming open loop schedules arrivals one ahead; every other
-    /// combination heap-loads what [`ArrivalProcess`] hands out up front.
-    lazy_arrivals: bool,
     arrivals: ArrivalProcess,
     workers: WorkerPool,
     timeout: SimDuration,
@@ -565,7 +500,7 @@ impl LoadRunner {
     }
 
     /// Drives `calibration`'s per-session script under this runner's
-    /// config through the streaming engine and returns the full report.
+    /// config through the engine and returns the full report.
     /// `scenario` names the run. Memory is O(live sessions), not
     /// O(`sessions`).
     ///
@@ -593,80 +528,12 @@ impl LoadRunner {
         let stats = engine.stats();
         (engine.into_report(scenario, cfg), stats)
     }
-
-    /// Drives the run through the retained reference engine: every
-    /// session materialised for the whole run, every open-loop arrival
-    /// heap-loaded at t=0 — the pre-streaming implementation, kept as the
-    /// byte-identity oracle the streaming engine is tested against.
-    /// Costs O(`sessions`) memory by design; errors if that cannot even
-    /// be addressed on this target.
-    pub fn run_reference(
-        &self,
-        scenario: &str,
-        calibration: &Calibration,
-    ) -> Result<RunReport, LoadError> {
-        Ok(self.run_reference_with_stats(scenario, calibration)?.0)
-    }
-
-    /// [`LoadRunner::run_reference`] with peak-resource diagnostics.
-    pub fn run_reference_with_stats(
-        &self,
-        scenario: &str,
-        calibration: &Calibration,
-    ) -> Result<(RunReport, EngineStats), LoadError> {
-        let cfg = self.checked_config(calibration);
-        let model = calibration.cost_model();
-        let mut engine = Engine::new_reference(cfg, calibration, &model)?;
-        engine.prime();
-        engine.drain();
-        let stats = engine.stats();
-        Ok((engine.into_report(scenario, cfg), stats))
-    }
 }
 
 impl<'a> Engine<'a> {
-    /// The streaming engine: slab-of-live-sessions storage and (open
-    /// loop) one-ahead arrival scheduling.
+    /// The engine for one run of `cfg`: slab-of-live-sessions storage
+    /// and (open loop) one-ahead arrival scheduling.
     pub(crate) fn new(cfg: &'a LoadConfig, cal: &'a Calibration, model: &'a CostModel) -> Self {
-        let table = SessionTable::Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-        };
-        Engine::build(cfg, cal, model, table)
-    }
-
-    /// The retained reference engine. Checked conversion: a session count
-    /// beyond the target's address space is a domain error, not a silent
-    /// `as usize` wrap.
-    pub(crate) fn new_reference(
-        cfg: &'a LoadConfig,
-        cal: &'a Calibration,
-        model: &'a CostModel,
-    ) -> Result<Self, LoadError> {
-        let capacity =
-            usize::try_from(cfg.sessions).map_err(|_| LoadError::SessionCountOverflow {
-                sessions: cfg.sessions,
-            })?;
-        let mut engine = Engine::build(
-            cfg,
-            cal,
-            model,
-            SessionTable::Retained(Vec::with_capacity(capacity)),
-        );
-        // The reference path heap-loads every open-loop arrival in
-        // prime(), handing arrival i seq i from the shared counter.
-        engine.lazy_arrivals = false;
-        engine.next_seq = 0;
-        Ok(engine)
-    }
-
-    fn build(
-        cfg: &'a LoadConfig,
-        cal: &'a Calibration,
-        model: &'a CostModel,
-        table: SessionTable,
-    ) -> Self {
         let mut net = Network::new(cfg.seed ^ NETSIM_SALT);
         // The engine never reads the packet trace; recording it would be
         // the one remaining O(total packets) buffer in a streaming run.
@@ -701,7 +568,6 @@ impl<'a> Engine<'a> {
             )
         });
 
-        let lazy_arrivals = matches!(cfg.mode, LoadMode::Open { .. });
         Engine {
             cfg,
             cal,
@@ -712,12 +578,10 @@ impl<'a> Engine<'a> {
             ready: Vec::new(),
             heap: BinaryHeap::new(),
             timeouts: VecDeque::new(),
-            // Open-loop arrival i is pinned to seq i in both engine
-            // paths; the shared counter for everything else therefore
-            // starts past the arrival block.
-            next_seq: if lazy_arrivals { cfg.sessions } else { 0 },
-            table,
-            lazy_arrivals,
+            // Open-loop arrival i is pinned to seq i; the counter for
+            // everything else therefore starts past the arrival block.
+            next_seq: cfg.sessions,
+            table: SessionTable::default(),
             arrivals: arrival_process(cfg, cal, model, cfg.seed),
             workers: WorkerPool::new(cfg.workers),
             timeout,
@@ -798,25 +662,24 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Schedules the next open-loop arrival (streaming path): exactly one
-    /// pending arrival in the heap at any time, pinned to seq = index.
+    /// Schedules the next open-loop arrival: exactly one pending arrival
+    /// in the heap at any time, pinned to seq = index.
     fn schedule_next_arrival(&mut self) {
         if let Some((idx, at)) = self.arrivals.next_arrival() {
             self.push_raw(at, idx, Ev::Arrive { session: idx });
         }
     }
 
-    /// Queues the initial arrivals. Streaming open loop: only the first
-    /// (each arrival schedules its successor). Everything else: all the
-    /// arrival process hands out up front — every open-loop arrival for
-    /// the retained reference path, the initial closed-loop batch
-    /// (O(concurrency)) for both paths.
+    /// Queues the initial arrivals. Open loop: only the first (each
+    /// arrival schedules its successor). Closed loop: the initial batch,
+    /// O(concurrency).
     pub(crate) fn prime(&mut self) {
-        if self.lazy_arrivals {
-            self.schedule_next_arrival();
-        } else {
-            while let Some((idx, at)) = self.arrivals.next_arrival() {
-                self.push(at, Ev::Arrive { session: idx });
+        match self.cfg.mode {
+            LoadMode::Open { .. } => self.schedule_next_arrival(),
+            LoadMode::Closed { .. } => {
+                while let Some((idx, at)) = self.arrivals.next_arrival() {
+                    self.push(at, Ev::Arrive { session: idx });
+                }
             }
         }
     }
@@ -881,12 +744,11 @@ impl<'a> Engine<'a> {
     }
 
     fn on_arrive(&mut self, at: SimTime, session: u64) {
-        if self.lazy_arrivals {
+        if let LoadMode::Open { .. } = self.cfg.mode {
             self.schedule_next_arrival();
         }
         let client = self.client_nodes[(session % self.client_nodes.len() as u64) as usize];
         let (key, live) = self.table.insert(
-            session,
             Session {
                 arrived_at: at,
                 client,
@@ -925,8 +787,7 @@ impl<'a> Engine<'a> {
 
     fn on_request(&mut self, at: SimTime, key: u64, op: u32, _attempt: u32) {
         // A miss is a retired session (its handle's generation is stale)
-        // or stray bytes — either way the datagram is dropped, exactly as
-        // the retained path's done/failed guards drop it.
+        // or stray bytes — either way the datagram is dropped.
         let Some(sess) = self.table.get_mut(key) else {
             return;
         };
@@ -1061,11 +922,7 @@ impl<'a> Engine<'a> {
         self.net.reset(seed ^ NETSIM_SALT);
         self.heap.clear();
         self.timeouts.clear();
-        self.next_seq = if self.lazy_arrivals {
-            self.cfg.sessions
-        } else {
-            0
-        };
+        self.next_seq = self.cfg.sessions;
         // Drained runs retire every session, but clearing the whole slab
         // keeps a partially drained engine from leaking live slots into
         // the next session.
@@ -1389,41 +1246,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn padded_frame_is_the_header_plus_zeros() {
-        let frame = encode(42, 3, 1, 100);
-        assert_eq!(frame.len(), 100);
-        assert_eq!(decode(&frame), Some((42, 3, 1)));
-        assert_eq!(frame[..HEADER_LEN], header(42, 3, 1));
-        assert!(frame[HEADER_LEN..].iter().all(|&b| b == 0));
-        // A frame shorter than the header is the header alone.
-        assert_eq!(encode(7, 0, 0, 10), header(7, 0, 0));
-        assert_eq!(decode(&header(7, 0, 0)), Some((7, 0, 0)));
-    }
-
-    /// Both tables frame the same wire bytes: the streaming slab sends the
-    /// header and leaves the zeros to the network, the retained table
-    /// sends them materialised.
-    #[test]
-    fn slab_and_retained_frames_agree_on_the_wire() {
-        let mut slab = SessionTable::Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-        };
-        let (key, _) = slab.insert(0, fresh_session(), &mut 0);
-        let retained = SessionTable::Retained(vec![fresh_session()]);
-        for len in [0, HEADER_LEN, 100, 1_058] {
-            let (header, padding) = slab.frame(key, 2, 1, len).expect("live");
-            assert_eq!(header.len(), HEADER_LEN, "no padding allocated");
-            let (full, none) = retained.frame(key, 2, 1, len).expect("live");
-            assert_eq!(none, 0);
-            let mut wire = header.to_vec();
-            wire.resize(HEADER_LEN + padding, 0);
-            assert_eq!(wire, full.to_vec(), "len {len}");
-        }
-    }
-
     /// The driver fires whichever head is smaller by `(at, seq)`: at equal
     /// times the event armed first wins, whichever queue holds it (heavy
     /// closed-loop runs do produce such ties). A stale front is dropped.
@@ -1433,7 +1255,7 @@ mod tests {
         let cal = toy_calibration();
         let model = cal.cost_model();
         let mut engine = Engine::new(&cfg, &cal, &model);
-        let (key, _) = engine.table.insert(0, fresh_session(), &mut 0);
+        let (key, _) = engine.table.insert(fresh_session(), &mut 0);
         let at = SimTime(500);
         engine.push_raw(at, 7, Ev::ServiceDone { key, op: 0 });
         engine.timeouts.push_back(Timeout {
@@ -1491,28 +1313,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_equals_reference_byte_for_byte() {
-        let cal = toy_calibration();
-        for mode in [
-            LoadMode::Open { rate_per_sec: None },
-            LoadMode::Closed { concurrency: 12 },
-        ] {
-            let mut cfg = LoadConfig::new(150, 21, mode);
-            cfg.faults = FaultConfig {
-                drop_chance: 0.06,
-                corrupt_chance: 0.04,
-                duplicate_chance: 0.03,
-                ..Default::default()
-            };
-            let runner = LoadRunner::new(cfg);
-            let streaming = runner.run("toy", &cal);
-            let reference = runner.run_reference("toy", &cal).unwrap();
-            assert_eq!(streaming.json(), reference.json());
-            assert_eq!(streaming.text(), reference.text());
-        }
-    }
-
-    #[test]
     fn closed_loop_retires_sessions_slots_bounded_by_concurrency() {
         let concurrency = 16u32;
         let cfg = LoadConfig::new(500, 9, LoadMode::Closed { concurrency });
@@ -1529,18 +1329,10 @@ mod tests {
     fn open_loop_heap_holds_one_pending_arrival_not_all() {
         let n = 4000u64;
         let cfg = LoadConfig::new(n, 3, LoadMode::Open { rate_per_sec: None });
-        let runner = LoadRunner::new(cfg);
-        let cal = toy_calibration();
-        let (report, stream) = runner.run_with_stats("toy", &cal);
-        let (_, reference) = runner.run_reference_with_stats("toy", &cal).unwrap();
+        let (report, stream) = LoadRunner::new(cfg).run_with_stats("toy", &toy_calibration());
         assert_eq!(report.completed, n);
-        assert!(
-            reference.peak_heap_events >= n,
-            "reference heap-loads every arrival: {}",
-            reference.peak_heap_events
-        );
-        // Streaming: one pending arrival + O(live) timeouts. At ~50%
-        // utilisation live sessions stay far below the total.
+        // One pending arrival + O(live) timeouts. At ~50% utilisation
+        // live sessions stay far below the total.
         assert!(
             stream.peak_heap_events < n / 8,
             "streaming heap stayed O(live): {} events for {n} sessions",
@@ -1551,14 +1343,6 @@ mod tests {
             "sessions retire as they complete: {} live peak",
             stream.peak_live_sessions
         );
-    }
-
-    #[test]
-    fn load_error_reports_the_count() {
-        let err = LoadError::SessionCountOverflow { sessions: 1 << 40 };
-        let msg = err.to_string();
-        assert!(msg.contains("1099511627776"), "{msg}");
-        assert!(msg.contains("streaming"), "{msg}");
     }
 
     /// The config a field test breaks one knob of; valid as it stands.
@@ -1722,14 +1506,6 @@ mod tests {
         run_broken(|cfg| set_fault(cfg, "faults.reorder_chance", 2.0));
     }
 
-    #[test]
-    #[should_panic(expected = "invalid load config: workers must be at least 1")]
-    fn run_reference_refuses_an_invalid_config() {
-        let mut cfg = valid_config();
-        cfg.workers = 0;
-        let _ = LoadRunner::new(cfg).run_reference("toy", &toy_calibration());
-    }
-
     fn fresh_session() -> Session {
         Session {
             arrived_at: SimTime::ZERO,
@@ -1748,19 +1524,15 @@ mod tests {
     /// while the new occupant's handle hits.
     #[test]
     fn stale_handle_misses_after_its_slot_is_reused() {
-        let mut table = SessionTable::Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-        };
+        let mut table = SessionTable::default();
         let mut allocated = 0;
-        let (old, live) = table.insert(0, fresh_session(), &mut allocated);
+        let (old, live) = table.insert(fresh_session(), &mut allocated);
         assert_eq!(live, 1);
         assert!(table.get(old).is_some());
         table.retire(old);
         assert!(table.get(old).is_none(), "retired");
 
-        let (new, live) = table.insert(1, fresh_session(), &mut allocated);
+        let (new, live) = table.insert(fresh_session(), &mut allocated);
         assert_eq!((live, allocated), (1, 1), "the slot was reused");
         assert_eq!(new as u32, old as u32, "same slot index");
         assert_ne!(new, old, "different generation");
@@ -1781,16 +1553,6 @@ mod tests {
 
         table.clear();
         assert!(table.get(new).is_none(), "clearing retires every slot");
-    }
-
-    #[cfg(target_pointer_width = "32")]
-    #[test]
-    fn reference_engine_rejects_unaddressable_session_counts() {
-        let cfg = LoadConfig::new(u64::MAX, 1, LoadMode::Open { rate_per_sec: None });
-        let err = LoadRunner::new(cfg)
-            .run_reference("toy", &toy_calibration())
-            .unwrap_err();
-        assert_eq!(err, LoadError::SessionCountOverflow { sessions: u64::MAX });
     }
 
     proptest! {
@@ -1819,41 +1581,6 @@ mod tests {
                 scan[idx] = done;
                 prop_assert_eq!(pool.assign(at, SimDuration(service)), (idx as u32, done));
             }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        /// The streaming engine is observationally identical to the
-        /// retained reference across random seeds, loop disciplines and
-        /// fault mixes: same text, same JSON, byte for byte.
-        #[test]
-        fn streaming_reference_equivalence(
-            seed in any::<u64>(),
-            closed in any::<bool>(),
-            drop in 0u32..10,
-            corrupt in 0u32..8,
-            duplicate in 0u32..8,
-        ) {
-            let cal = toy_calibration();
-            let mode = if closed {
-                LoadMode::Closed { concurrency: 8 }
-            } else {
-                LoadMode::Open { rate_per_sec: None }
-            };
-            let mut cfg = LoadConfig::new(60, seed, mode);
-            cfg.faults = FaultConfig {
-                drop_chance: drop as f64 / 100.0,
-                corrupt_chance: corrupt as f64 / 100.0,
-                duplicate_chance: duplicate as f64 / 100.0,
-                ..Default::default()
-            };
-            let runner = LoadRunner::new(cfg);
-            let streaming = runner.run("toy", &cal);
-            let reference = runner.run_reference("toy", &cal).unwrap();
-            prop_assert_eq!(streaming.json(), reference.json());
-            prop_assert_eq!(streaming.text(), reference.text());
         }
     }
 }
